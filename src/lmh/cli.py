@@ -5,7 +5,8 @@ spectral guarantee checks (gap, bound, weyl), surface reconstruction,
 functional-map correspondence (fmap, p2p, error-curve) and a solver
 benchmark. Every run is a pure function of its flags and seed; no
 environment variables are consulted, and numeric outputs are written
-with 17 significant digits so reruns are byte-identical.
+with 17 significant digits so reruns are byte-identical (for the dense
+``hard`` and ``oracle`` solvers, at the same BLAS thread count).
 
 Exit codes: 0 success, 1 validation error (bad flags, missing or
 malformed files, precondition violations), 2 numerical failure (solver

@@ -313,6 +313,12 @@ def compute_lmh(
     if solver not in ("relaxed", "hard", "oracle"):
         raise ValueError(f"unknown solver path '{solver}'")
     a = mass_diagonal(A)
+    if region is not None and not np.any(getattr(region, "u", region)):
+        warnings.warn(
+            "empty region: every membership is 0, so the penalty is uniform "
+            "and the basis is not localized",
+            stacklevel=2,
+        )
 
     lam_next = None
     if phi is None:

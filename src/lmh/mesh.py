@@ -33,8 +33,8 @@ class TriMesh:
     Raises
     ------
     MeshError
-        On empty input, out-of-range indices, degenerate faces, or
-        edges shared by more than two faces.
+        On empty input, out-of-range indices, degenerate faces, vertices
+        no face references, or edges shared by more than two faces.
     """
 
     def __init__(self, vertices, faces):
@@ -62,6 +62,12 @@ class TriMesh:
         if degenerate.any():
             raise MeshError(
                 f"face {int(np.flatnonzero(degenerate)[0])} repeats a vertex index"
+            )
+        referenced = np.zeros(vertices.shape[0], dtype=bool)
+        referenced[faces.ravel()] = True
+        if not referenced.all():
+            raise MeshError(
+                f"vertex {int(np.argmin(referenced))} is not referenced by any face"
             )
 
         self.vertices = vertices

@@ -10,11 +10,22 @@ Two dense routes exist for cross-checking and for exact constraints:
 ``dense_oracle_eig`` whitens the pencil and calls LAPACK, and
 ``hard_constraint_eig`` restricts the operator to the A-orthogonal
 complement of a given subspace before the dense solve.
+
+Thread policy: the shift-invert Lanczos path runs with the bundled
+OpenBLAS pools at one thread (its BLAS calls are too small to gain from
+threads, and serial BLAS makes its output independent of the thread
+count), while the dense routes keep the process default.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+from contextlib import contextmanager
+from pathlib import Path
+
 import numpy as np
+import scipy
 from scipy import sparse
 from scipy.linalg import eigh, lu_factor, lu_solve, qr
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
@@ -36,6 +47,51 @@ def default_shift(W):
     if not np.isfinite(mean_diag) or mean_diag <= 0.0:
         mean_diag = 1.0
     return -1e-8 * mean_diag
+
+
+@functools.cache
+def _blas_thread_controls():
+    """(get, set) thread-count functions of each bundled OpenBLAS.
+
+    numpy and scipy wheels each ship their own OpenBLAS in
+    ``numpy.libs/`` and ``scipy.libs/``; other BLAS builds yield none.
+    """
+    controls = []
+    for pkg in (np, scipy):
+        libs = Path(pkg.__file__).resolve().parent.parent / f"{pkg.__name__}.libs"
+        for path in sorted(libs.glob("*openblas*.so*")):
+            try:
+                lib = ctypes.CDLL(str(path))
+            except OSError:
+                continue
+            for suffix in ("64_", ""):
+                get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
+                set_ = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
+                if get is not None and set_ is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    set_.argtypes, set_.restype = [ctypes.c_int], None
+                    controls.append((get, set_))
+                    break
+    return tuple(controls)
+
+
+@contextmanager
+def _serial_blas():
+    """Run the block with every bundled OpenBLAS pool at one thread.
+
+    Each pool gets back the count it had on entry, also on an exception,
+    so scopes nest. The counts are process-wide: concurrent scopes in
+    several Python threads may restore each other's values.
+    """
+    controls = _blas_thread_controls()
+    saved = [get() for get, _ in controls]
+    for _, set_ in controls:
+        set_(1)
+    try:
+        yield
+    finally:
+        for (_, set_), count in zip(controls, saved):
+            set_(count)
 
 
 def _fro(x):
@@ -318,17 +374,18 @@ def smallest_eigenpairs(
                 f"exceeds the dense guard {DENSE_ORACLE_MAX_N}"
             )
         vals, vecs = dense_oracle_eig(q_apply(np.eye(n)), a)
-        lam, Psi = vals[:k], vecs[:, :k]
-    else:
-        # a restart can purge one copy of a degenerate pair sitting
-        # exactly on the window edge; computing a few pairs past k and
-        # truncating moves the edge off the requested window
-        k_solve = min(k + 6, n - 2)
-        ncv = min(n, max(2 * k_solve + 10, k_solve + 2))
-        v0 = np.random.default_rng(seed).uniform(-1.0, 1.0, n)
-        A_op = sparse.csr_array(sparse.diags_array(a))
-        Q_op = LinearOperator((n, n), matvec=q_apply, dtype=np.float64)
-        OPinv = LinearOperator((n, n), matvec=q_solve, dtype=np.float64)
+        return _verified(q_apply, a, vals[:k], vecs[:, :k], residual_tol)
+
+    # a restart can purge one copy of a degenerate pair sitting exactly
+    # on the window edge; computing a few pairs past k and truncating
+    # moves the edge off the requested window
+    k_solve = min(k + 6, n - 2)
+    ncv = min(n, max(2 * k_solve + 10, k_solve + 2))
+    v0 = np.random.default_rng(seed).uniform(-1.0, 1.0, n)
+    A_op = sparse.csr_array(sparse.diags_array(a))
+    Q_op = LinearOperator((n, n), matvec=q_apply, dtype=np.float64)
+    OPinv = LinearOperator((n, n), matvec=q_solve, dtype=np.float64)
+    with _serial_blas():
         try:
             lam, Psi = eigsh(
                 Q_op, k=k_solve, M=A_op, sigma=sigma, OPinv=OPinv,
@@ -340,9 +397,12 @@ def smallest_eigenpairs(
                 "try a different shift or a larger subspace"
             ) from exc
         order = np.argsort(lam)[:k]
-        lam, Psi = lam[order], Psi[:, order]
-        Psi = canonical_signs(Psi)
+        Psi = canonical_signs(Psi[:, order])
+        return _verified(q_apply, a, lam[order], Psi, residual_tol)
 
+
+def _verified(q_apply, a, lam, Psi, residual_tol):
+    """Return (lam, Psi) after the residual check of ``smallest_eigenpairs``."""
     residuals = q_apply(Psi) - (a[:, None] * Psi) * lam[None, :]
     res_norms = np.linalg.norm(residuals, axis=0)
     ref = residual_tol * np.maximum(1.0, np.abs(lam)) * np.linalg.norm(

@@ -1,13 +1,19 @@
 """End-to-end runs of every subcommand plus exit-code contracts."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lmh
 from lmh import cli
 from lmh import io as lmhio
 from lmh.fem import assemble_mass, mass_diagonal
+from lmh.localized import Region
 from lmh.mesh import read_mesh
 from lmh.solvers import NumericalError
 from lmh.synth import grid_mesh, icosphere
@@ -185,6 +191,43 @@ class TestLmh:
         assert (d1 / "lmh_basis.txt").read_bytes() == (
             d2 / "lmh_basis.txt"
         ).read_bytes()
+
+
+class TestBlasThreadIndependence:
+    def test_mh_then_lmh_outputs_match_across_thread_counts(self, tmp_path):
+        # at n=2562 the BLAS calls inside ARPACK are large enough to be
+        # split across threads when the pools are left at the default
+        mesh = tmp_path / "sphere.off"
+        write_off(icosphere(4, radius=5.0), mesh)
+        region = tmp_path / "region.txt"
+        lmhio.save_region(Region.binary(2562, np.arange(500)), region)
+        src = str(Path(lmh.__file__).resolve().parent.parent)
+        outputs = {}
+        for threads in ("1", "2"):
+            cwd = tmp_path / f"threads{threads}"
+            cwd.mkdir()
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(
+                filter(None, [src, env.get("PYTHONPATH")])
+            )
+            for argv in (
+                ["mh", "--mesh", str(mesh), "--k", "20", "--out-dir", "out"],
+                ["lmh", "--mesh", str(mesh), "--region", str(region),
+                 "--phi", "out/mh_basis.txt", "--k", "30", "--out-dir", "out"],
+            ):
+                proc = subprocess.run(
+                    [sys.executable, "-m", "lmh.cli", *argv], cwd=cwd, env=env,
+                    capture_output=True, text=True, timeout=300,
+                )
+                assert proc.returncode == 0, proc.stderr
+            outputs[threads] = {
+                p.name: p.read_bytes() for p in (cwd / "out").iterdir()
+            }
+        assert sorted(outputs["1"]) == [
+            "lmh_basis.txt", "lmh_spectrum.txt", "mh_basis.txt",
+            "mh_spectrum.txt",
+        ]
+        assert outputs["1"] == outputs["2"]
 
 
 class TestPmh:
@@ -455,6 +498,13 @@ class TestExitCodes:
         assert cli.run(["mh", "--mesh", str(mesh_file), "--k", "200",
                         "--out-dir", str(tmp_path)]) == 1
         capsys.readouterr()
+
+    def test_unreferenced_vertex(self, capsys, tmp_path):
+        path = tmp_path / "stray.off"
+        path.write_text("OFF\n4 1 0\n0 0 0\n1 0 0\n0 1 0\n5 5 0\n3 0 1 2\n")
+        assert cli.run(["mh", "--mesh", str(path), "--k", "1",
+                        "--out-dir", str(tmp_path)]) == 1
+        assert "vertex 3 is not referenced" in capsys.readouterr().err
 
     def test_help_exits_0(self, capsys):
         assert cli.run(["--help"]) == 0

@@ -231,6 +231,11 @@ class TestComputeLmh:
         with pytest.warns(UserWarning):
             compute_lmh(unit_square, region, k=3, kprime=5, mu_perp=1.0)
 
+    def test_empty_region_warns(self, unit_square):
+        empty = Region(np.zeros(unit_square.n_vertices))
+        with pytest.warns(UserWarning, match="empty region"):
+            compute_lmh(unit_square, empty, k=3, kprime=2)
+
     def test_argument_validation(self, unit_square):
         n = unit_square.n_vertices
         with pytest.raises(ValueError):

@@ -104,6 +104,15 @@ class TestLoadMesh:
         with pytest.raises(MeshError):
             load_mesh(bad, "OFF")
 
+    def test_unreferenced_vertex_rejected(self):
+        grid = grid_mesh(4, 4)  # 5x5 vertices plus one stray vertex
+        stray = np.vstack([grid.vertices, [[2.0, 2.0, 0.0]]])
+        with pytest.raises(MeshError, match="vertex 25 is not referenced"):
+            TriMesh(stray, grid.faces)
+        bad = "OFF\n4 1 0\n0 0 0\n9 9 0\n1 0 0\n0 1 0\n3 0 2 3\n"
+        with pytest.raises(MeshError, match="vertex 1 is not referenced"):
+            load_mesh(bad, "OFF")
+
     def test_edge_partition_covers_all_edges(self, plane):
         n_distinct = len(plane.edges)
         assert len(plane.interior_edges) + len(plane.boundary_edges) == n_distinct

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from scipy import sparse
 from scipy.linalg import subspace_angles
+from scipy.sparse.linalg import ArpackNoConvergence
 
+from lmh import solvers
 from lmh.fem import assemble_mass, assemble_stiffness, mass_diagonal
-from lmh.localized import Region, build_lmh_operator, compute_mh
+from lmh.localized import Region, build_lmh_operator, compute_lmh, compute_mh
 from lmh.solvers import (
     DENSE_ORACLE_MAX_N,
     HARD_PATH_MAX_N,
@@ -265,3 +267,90 @@ class TestHardPath:
         region = Region.full(n)
         with pytest.raises(ValueError, match="relaxed"):
             hard_constraint_eig(W, A, region, np.zeros((n, 0)), 1.0, 1)
+
+
+@pytest.fixture
+def blas_pools():
+    """Thread controls of the bundled OpenBLAS pools, each set to 2.
+
+    Two threads make "restored" distinguishable from "left at 1" even on
+    a single-core machine; the original counts come back afterwards.
+    """
+    controls = solvers._blas_thread_controls()
+    if not controls:
+        pytest.skip("no bundled OpenBLAS with a thread-count control")
+    saved = [get() for get, _ in controls]
+    for _, set_ in controls:
+        set_(2)
+    yield controls
+    for (_, set_), count in zip(controls, saved):
+        set_(count)
+
+
+def pool_counts(controls):
+    return [get() for get, _ in controls]
+
+
+class TestBlasThreadScope:
+    def test_pools_read_one_inside_and_nest(self, blas_pools):
+        ones, twos = [1] * len(blas_pools), [2] * len(blas_pools)
+        with solvers._serial_blas():
+            assert pool_counts(blas_pools) == ones
+            with solvers._serial_blas():
+                assert pool_counts(blas_pools) == ones
+            assert pool_counts(blas_pools) == ones
+        assert pool_counts(blas_pools) == twos
+
+    def test_relaxed_lmh_restores_counts(self, blas_pools, unit_square,
+                                         monkeypatch):
+        seen = []
+        real_eigsh = solvers.eigsh
+
+        def recording_eigsh(*args, **kwargs):
+            seen.append(pool_counts(blas_pools))
+            return real_eigsh(*args, **kwargs)
+
+        monkeypatch.setattr(solvers, "eigsh", recording_eigsh)
+        before = pool_counts(blas_pools)
+        region = Region.binary(unit_square.n_vertices, np.arange(40))
+        compute_lmh(unit_square, region, k=4, kprime=3, solver="relaxed")
+        assert pool_counts(blas_pools) == before
+        # one solve for the global harmonics, one for the localized ones
+        assert seen == [[1] * len(blas_pools)] * 2
+
+    def test_counts_restored_when_eigsh_raises(self, blas_pools, sphere,
+                                               monkeypatch):
+        def failing_eigsh(*args, **kwargs):
+            raise ArpackNoConvergence("no convergence", np.empty(0),
+                                      np.empty((0, 0)))
+
+        monkeypatch.setattr(solvers, "eigsh", failing_eigsh)
+        before = pool_counts(blas_pools)
+        with pytest.raises(NumericalError, match="did not converge"):
+            compute_mh(sphere, 5)
+        assert pool_counts(blas_pools) == before
+
+    def test_no_op_without_control_symbols(self, blas_pools, monkeypatch):
+        monkeypatch.setattr(solvers, "_blas_thread_controls", lambda: ())
+        before = pool_counts(blas_pools)
+        with solvers._serial_blas():
+            assert pool_counts(blas_pools) == before
+        assert pool_counts(blas_pools) == before
+
+    def test_dense_routes_keep_process_default(self, blas_pools, tetra,
+                                               unit_square, monkeypatch):
+        seen = []
+        real_eigh = solvers.eigh
+
+        def recording_eigh(*args, **kwargs):
+            seen.append(pool_counts(blas_pools))
+            return real_eigh(*args, **kwargs)
+
+        monkeypatch.setattr(solvers, "eigh", recording_eigh)
+        compute_mh(tetra, 4)  # k > n - 2: dense fallback
+        n = unit_square.n_vertices
+        hard_constraint_eig(
+            assemble_stiffness(unit_square), assemble_mass(unit_square),
+            Region.binary(n, np.arange(40)), None, 100.0, 4,
+        )
+        assert seen == [[2] * len(blas_pools)] * 2
