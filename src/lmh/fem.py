@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 
-from .mesh import MeshError, triangle_areas
+from .mesh import MeshError, membership, triangle_areas
 
 # faces thinner than this fraction of the mean triangle area are rejected
 DEGENERATE_AREA_FRACTION = 1e-12
@@ -100,6 +100,17 @@ def mass_diagonal(A):
     return np.diag(A) if A.ndim == 2 else A
 
 
+def penalty_weights(region, n):
+    """Localization penalty weights ``v = (1 - u)^2`` for n vertices.
+
+    ``region`` is a Region, an array of memberships u, or None (no
+    penalty: v = 0 everywhere).
+    """
+    if region is None:
+        return np.zeros(n)
+    return (1.0 - membership(region, n)) ** 2
+
+
 def energy_terms(W, A, region, phi, f):
     """Dirichlet, region-penalty and subspace-overlap energies of f.
 
@@ -125,43 +136,9 @@ def energy_terms(W, A, region, phi, f):
     if region is None:
         e_region = 0.0
     else:
-        u = np.asarray(getattr(region, "u", region), dtype=np.float64)
-        v = getattr(region, "v", None)
-        v = (1.0 - u) ** 2 if v is None else np.asarray(v, dtype=np.float64)
-        e_region = float(f @ (a * v * f))
+        e_region = float(f @ (a * penalty_weights(region, a.size) * f))
     if phi is None or phi.size == 0:
         e_perp = 0.0
     else:
         e_perp = float(np.sum((phi.T @ (a * f)) ** 2))
     return e_dirichlet, e_region, e_perp
-
-
-def dump_matrix(M, path):
-    """Write a sparse matrix as 0-based ``i j value`` text lines.
-
-    Entries are emitted in row-major order with 17 significant digits,
-    which round-trips float64 exactly.
-    """
-    coo = sparse.coo_array(M)
-    order = np.lexsort((coo.col, coo.row))
-    with open(path, "w", encoding="utf-8") as fh:
-        for i, j, val in zip(coo.row[order], coo.col[order], coo.data[order]):
-            fh.write(f"{i} {j} {val:.17g}\n")
-
-
-def load_matrix(path, shape=None):
-    """Read a coordinate-format text dump back into a CSR array."""
-    rows, cols, vals = [], [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            i, j, val = line.split()
-            rows.append(int(i))
-            cols.append(int(j))
-            vals.append(float(val))
-    if shape is None:
-        n = max(max(rows), max(cols)) + 1
-        shape = (n, n)
-    return sparse.coo_array((vals, (rows, cols)), shape=shape).tocsr()

@@ -20,12 +20,12 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 
-from .fem import assemble_mass, assemble_stiffness, mass_diagonal
-from .mesh import MeshError, TriMesh, graph_geodesics, intrinsic_diameter
+from .fem import assemble_mass, assemble_stiffness, mass_diagonal, penalty_weights
+from .mesh import MeshError, TriMesh, graph_geodesics, intrinsic_diameter, membership
 from .solvers import (
     DENSE_ORACLE_MAX_N,
     LowRankShiftedSystem,
-    canonical_signs,
+    _serial_blas,
     default_shift,
     dense_oracle_eig,
     hard_constraint_eig,
@@ -57,7 +57,7 @@ class Region:
     @property
     def v(self):
         """Penalty weights (1 - u)^2."""
-        return (1.0 - self.u) ** 2
+        return penalty_weights(self, self.u.size)
 
     @property
     def is_binary(self):
@@ -131,15 +131,6 @@ class SpectralBasis:
             f"SpectralBasis({self.kind}, {self.n_functions} functions "
             f"on {self.n_vertices} vertices)"
         )
-
-
-def _as_v(region, n):
-    if region is None:
-        return np.zeros(n)
-    u = np.asarray(getattr(region, "u", region), dtype=np.float64)
-    if u.shape != (n,):
-        raise ValueError(f"region has {u.shape[0]} values for {n} vertices")
-    return (1.0 - u) ** 2
 
 
 def _operators(mesh, W, A):
@@ -225,7 +216,7 @@ def build_lmh_operator(W, A, region, phi, mu_r, mu_perp, sigma=0.0):
         raise ValueError("penalty weights must be non-negative")
     a = mass_diagonal(A)
     n = a.size
-    v = _as_v(region, n)
+    v = penalty_weights(region, n)
     if phi is None:
         phi = np.zeros((n, 0))
     phi = np.asarray(phi, dtype=np.float64)
@@ -300,7 +291,9 @@ def compute_lmh(
     -------
     SpectralBasis
         kind "LMH"; ``params["phi_overlap_max"]`` records the achieved
-        ``max |phi^T A psi|``. A warning is issued when it exceeds 1e-3.
+        ``max |phi^T A psi|`` (a warning is issued when it exceeds 1e-3)
+        and ``params["orthonormality_defect"]`` the largest entry of
+        ``|Psi^T A Psi - I|``.
     """
     W, A = _operators(mesh, W, A)
     n = W.shape[0]
@@ -313,7 +306,7 @@ def compute_lmh(
     if solver not in ("relaxed", "hard", "oracle"):
         raise ValueError(f"unknown solver path '{solver}'")
     a = mass_diagonal(A)
-    if region is not None and not np.any(getattr(region, "u", region)):
+    if region is not None and not np.any(membership(region, n)):
         warnings.warn(
             "empty region: every membership is 0, so the penalty is uniform "
             "and the basis is not localized",
@@ -357,7 +350,12 @@ def compute_lmh(
         vals, vecs = dense_oracle_eig(q_apply(np.eye(n)), A)
         lam, Psi = vals[:k], vecs[:, :k]
 
-    overlap = float(np.abs(phi.T @ (a[:, None] * Psi)).max()) if kprime else 0.0
+    # serial BLAS, as in the solve, keeps these diagnostics independent
+    # of the thread count
+    with _serial_blas():
+        aPsi = a[:, None] * Psi
+        overlap = float(np.abs(phi.T @ aPsi).max()) if kprime else 0.0
+        defect = float(np.abs(Psi.T @ aPsi - np.eye(k)).max())
     if overlap > 1e-3:
         warnings.warn(
             f"localized basis leaks into the avoided subspace: "
@@ -378,6 +376,7 @@ def compute_lmh(
             "sigma": sigma,
             "seed": seed,
             "phi_overlap_max": overlap,
+            "orthonormality_defect": defect,
         },
     )
 
@@ -400,9 +399,7 @@ def extract_submesh(mesh, region):
     ValueError
         If the region is not binary.
     """
-    u = np.asarray(getattr(region, "u", region), dtype=np.float64)
-    if u.shape != (mesh.n_vertices,):
-        raise ValueError("region length does not match vertex count")
+    u = membership(region, mesh.n_vertices)
     if not np.all((u == 0.0) | (u == 1.0)):
         raise ValueError("submesh extraction requires a binary region")
     keep_face = (u[mesh.faces] == 1.0).all(axis=1)
@@ -495,7 +492,7 @@ def region_energy_fraction(basis, A, region):
     """
     functions = getattr(basis, "functions", basis)
     a = mass_diagonal(A)
-    u = np.asarray(getattr(region, "u", region), dtype=np.float64)
+    u = membership(region, a.size)
     total = np.einsum("ij,ij->j", functions, a[:, None] * functions)
     inside = np.einsum("ij,ij->j", functions, (a * u)[:, None] * functions)
     return inside / total
@@ -609,7 +606,7 @@ def restrict_pencil(W, A, region):
     (W_rr, A_rr, idx)
         Restricted sparse operators and the kept vertex indices.
     """
-    u = np.asarray(getattr(region, "u", region), dtype=np.float64)
+    u = membership(region, W.shape[0])
     if not np.all((u == 0.0) | (u == 1.0)):
         raise ValueError("pencil restriction requires a binary region")
     idx = np.flatnonzero(u == 1.0)

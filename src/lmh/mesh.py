@@ -277,11 +277,18 @@ def surface_area(mesh, region=None):
     areas = triangle_areas(mesh)
     if region is None:
         return float(areas.sum())
-    u = np.asarray(getattr(region, "u", region), dtype=np.float64)
-    if u.shape != (mesh.n_vertices,):
-        raise ValueError("region length does not match vertex count")
+    u = membership(region, mesh.n_vertices)
     keep = (u[mesh.faces] == 1.0).all(axis=1)
     return float(areas[keep].sum())
+
+
+def membership(region, n):
+    """Membership values u of a Region (or a raw per-vertex array),
+    checked against the vertex count n."""
+    u = np.asarray(getattr(region, "u", region), dtype=np.float64)
+    if u.shape != (n,):
+        raise ValueError(f"region has {u.size} values for {n} vertices")
+    return u
 
 
 def edge_graph(mesh):

@@ -30,7 +30,7 @@ from scipy import sparse
 from scipy.linalg import eigh, lu_factor, lu_solve, qr
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
-from .fem import mass_diagonal
+from .fem import mass_diagonal, penalty_weights
 
 # size guards for the dense routes
 DENSE_ORACLE_MAX_N = 2000
@@ -43,7 +43,7 @@ class NumericalError(RuntimeError):
 
 def default_shift(W):
     """Small negative spectral shift scaled to the stiffness diagonal."""
-    mean_diag = float(np.mean(mass_diagonal(W)))
+    mean_diag = float(np.mean(W.diagonal()))
     if not np.isfinite(mean_diag) or mean_diag <= 0.0:
         mean_diag = 1.0
     return -1e-8 * mean_diag
@@ -98,12 +98,39 @@ def _fro(x):
     return float(np.linalg.norm(x))
 
 
+def _refine(apply, step, rhs, rtol, max_refine):
+    """Solve ``apply(x) = rhs`` by iterative refinement of ``step``.
+
+    ``step`` is an approximate inverse of ``apply``. After the first
+    step, up to ``max_refine`` corrections are added while the residual
+    norm is above ``rtol`` times the right-hand side norm; a correction
+    that does not lower it is discarded and ends the loop.
+    """
+    rhs = np.asarray(rhs, dtype=np.float64)
+    x = step(rhs)
+    rhs_norm = _fro(rhs)
+    if rhs_norm == 0.0:
+        return np.zeros_like(rhs)
+    best, best_norm = x, _fro(rhs - apply(x))
+    for _ in range(max_refine):
+        if best_norm <= rtol * rhs_norm:
+            break
+        x = best + step(rhs - apply(best))
+        r_norm = _fro(rhs - apply(x))
+        if not r_norm < best_norm:
+            break
+        best, best_norm = x, r_norm
+    return best
+
+
 class Factorization:
     """Sparse LU of a symmetric positive (semi-)definite matrix.
 
-    Solves are polished with iterative refinement: well-conditioned
-    systems reach a 1e-12 relative residual, deliberately shifted
-    near-singular ones stop at their backward-stable floor.
+    Solves are polished with iterative refinement (``_refine`` owns the
+    policy, here and in ``LowRankShiftedSystem.solve_shifted``):
+    well-conditioned systems reach a 1e-12 relative residual,
+    deliberately shifted near-singular ones stop at their
+    backward-stable floor.
 
     Raises
     ------
@@ -152,21 +179,7 @@ class Factorization:
 
     def solve(self, rhs, rtol=1e-12, max_refine=3):
         """Solve Z x = rhs (rhs may be a vector or a matrix of columns)."""
-        rhs = np.asarray(rhs, dtype=np.float64)
-        x = self._lu.solve(rhs)
-        rhs_norm = _fro(rhs)
-        if rhs_norm == 0.0:
-            return np.zeros_like(rhs)
-        best, best_norm = x, _fro(rhs - self._Z @ x)
-        for _ in range(max_refine):
-            if best_norm <= rtol * rhs_norm:
-                break
-            x = best + self._lu.solve(rhs - self._Z @ best)
-            r_norm = _fro(rhs - self._Z @ x)
-            if not r_norm < best_norm:
-                break
-            best, best_norm = x, r_norm
-        return best
+        return _refine(lambda x: self._Z @ x, self._lu.solve, rhs, rtol, max_refine)
 
 
 def factorize(Z):
@@ -241,21 +254,7 @@ class LowRankShiftedSystem:
 
     def solve_shifted(self, rhs, rtol=1e-12, max_refine=2):
         """Solve ``(Z + mu_perp B B^T) x = rhs`` for a raw right-hand side."""
-        rhs = np.asarray(rhs, dtype=np.float64)
-        x = self._woodbury_step(rhs)
-        rhs_norm = _fro(rhs)
-        if rhs_norm == 0.0:
-            return np.zeros_like(rhs)
-        best, best_norm = x, _fro(rhs - self.apply(x))
-        for _ in range(max_refine):
-            if best_norm <= rtol * rhs_norm:
-                break
-            x = best + self._woodbury_step(rhs - self.apply(best))
-            r_norm = _fro(rhs - self.apply(x))
-            if not r_norm < best_norm:
-                break
-            best, best_norm = x, r_norm
-        return best
+        return _refine(self.apply, self._woodbury_step, rhs, rtol, max_refine)
 
 
 def woodbury_solve(system, b):
@@ -457,13 +456,7 @@ def hard_constraint_eig(W, A, region, Phi, mu_r, k):
     if not 1 <= k <= n - kprime:
         raise ValueError(f"k must be in [1, {n - kprime}], got {k}")
 
-    if region is None:
-        v = np.zeros(n)
-    else:
-        u = np.asarray(getattr(region, "u", region), dtype=np.float64)
-        vr = getattr(region, "v", None)
-        v = (1.0 - u) ** 2 if vr is None else np.asarray(vr, dtype=np.float64)
-
+    v = penalty_weights(region, n)
     s = np.sqrt(a)
     penalty = mu_r * a * v
     if kprime:

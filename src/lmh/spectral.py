@@ -7,7 +7,6 @@ import warnings
 import numpy as np
 
 from .fem import assemble_mass, mass_diagonal
-from .mesh import TriMesh
 
 
 def analyze(basis, A, f):
@@ -125,8 +124,3 @@ def reconstruction_error(mesh, reconstructed):
         raise ValueError("reconstructed coordinates have the wrong shape")
     per_vertex = np.linalg.norm(mesh.vertices - reconstructed, axis=1)
     return per_vertex, float(per_vertex.mean())
-
-
-def reconstructed_mesh(mesh, reconstructed):
-    """New mesh with reconstructed positions and original connectivity."""
-    return TriMesh(reconstructed, mesh.faces)

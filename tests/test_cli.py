@@ -202,7 +202,7 @@ class TestBlasThreadIndependence:
         region = tmp_path / "region.txt"
         lmhio.save_region(Region.binary(2562, np.arange(500)), region)
         src = str(Path(lmh.__file__).resolve().parent.parent)
-        outputs = {}
+        outputs, stdouts = {}, {}
         for threads in ("1", "2"):
             cwd = tmp_path / f"threads{threads}"
             cwd.mkdir()
@@ -210,6 +210,7 @@ class TestBlasThreadIndependence:
             env["PYTHONPATH"] = os.pathsep.join(
                 filter(None, [src, env.get("PYTHONPATH")])
             )
+            stdouts[threads] = []
             for argv in (
                 ["mh", "--mesh", str(mesh), "--k", "20", "--out-dir", "out"],
                 ["lmh", "--mesh", str(mesh), "--region", str(region),
@@ -220,6 +221,7 @@ class TestBlasThreadIndependence:
                     capture_output=True, text=True, timeout=300,
                 )
                 assert proc.returncode == 0, proc.stderr
+                stdouts[threads].append(proc.stdout)
             outputs[threads] = {
                 p.name: p.read_bytes() for p in (cwd / "out").iterdir()
             }
@@ -228,6 +230,9 @@ class TestBlasThreadIndependence:
             "mh_spectrum.txt",
         ]
         assert outputs["1"] == outputs["2"]
+        # the JSON summaries too, orthonormality_defect and
+        # phi_overlap_max included
+        assert stdouts["1"] == stdouts["2"]
 
 
 class TestPmh:
@@ -493,6 +498,20 @@ class TestExitCodes:
         assert cli.run(["mh", "--mesh", str(mesh_file), "--k", "3",
                         "--seed", "-1"]) == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["mh", "--k", "0"], "argument --k: must be a positive integer"),
+        (["mh", "--k", "x"], "argument --k: not an integer: 'x'"),
+        (["region", "--seeds", "0", "--variance", "-1"],
+         "argument --variance: must be non-negative"),
+        (["region", "--seeds", "0", "--variance", "x"],
+         "argument --variance: not a number: 'x'"),
+        (["lmh", "--region", "region.txt", "--k", "3", "--mu-r", "nan"],
+         "argument --mu-r: must be non-negative"),
+    ])
+    def test_numeric_argument_messages(self, capsys, mesh_file, argv, message):
+        assert cli.run([argv[0], "--mesh", str(mesh_file), *argv[1:]]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_k_too_large_for_mesh(self, capsys, mesh_file, tmp_path):
         assert cli.run(["mh", "--mesh", str(mesh_file), "--k", "200",

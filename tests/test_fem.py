@@ -12,9 +12,7 @@ from scipy.spatial.transform import Rotation
 from lmh.fem import (
     assemble_mass,
     assemble_stiffness,
-    dump_matrix,
     energy_terms,
-    load_matrix,
     mass_diagonal,
 )
 from lmh.localized import Region, compute_mh
@@ -157,13 +155,3 @@ class TestEnergyTerms:
         with pytest.raises(ValueError):
             energy_terms(W, A, None, None, np.ones(7))
 
-
-def test_dump_load_roundtrip(tmp_path, unit_square):
-    W = assemble_stiffness(unit_square)
-    path = tmp_path / "w.txt"
-    dump_matrix(W, path)
-    back = load_matrix(path, shape=W.shape)
-    np.testing.assert_allclose(back.toarray(), W.toarray(), rtol=0, atol=0)
-    # 0-based "i j value" triples
-    first = path.read_text().splitlines()[0].split()
-    assert len(first) == 3

@@ -535,3 +535,35 @@ class TestRegionEnergyFraction:
         frac = region_energy_fraction(f, A, plane_patch)[0]
         expected = a[plane_patch.inside].sum() / a.sum()
         assert abs(frac - expected) <= 1e-12
+
+
+class TestDisconnectedMesh:
+    @pytest.fixture(scope="class")
+    def two_grids(self):
+        """Two disjoint copies of a 21x21-vertex grid, side by side."""
+        one, two = grid_mesh(20, 20), grid_mesh(20, 20, origin=(3.0, 0.0))
+        mesh = TriMesh(
+            np.vstack([one.vertices, two.vertices]),
+            np.vstack([one.faces, two.faces + one.n_vertices]),
+        )
+        W, A = assemble_stiffness(mesh), assemble_mass(mesh)
+        expect = dense_pencil_eig(W.toarray(), mass_diagonal(A))[0][:3]
+        return mesh, expect
+
+    def test_two_zero_eigenvalues_with_a_larger_shift(self, two_grids):
+        mesh, expect = two_grids
+        lam = compute_mh(mesh, 3, sigma=-1e-2).spectrum
+        np.testing.assert_allclose(lam, expect, rtol=1e-8, atol=1e-10)
+        assert abs(lam[1]) <= 1e-10 and lam[2] > 9.0
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=NumericalError,
+        reason="the default shift puts both zero eigenvalues at ~2.8e7 after "
+        "inversion; ARPACK's tolerance is relative to the largest one, and "
+        "the third pair fails the residual check",
+    )
+    def test_two_zero_eigenvalues_with_the_default_shift(self, two_grids):
+        mesh, expect = two_grids
+        lam = compute_mh(mesh, 3).spectrum
+        np.testing.assert_allclose(lam, expect, rtol=1e-8, atol=1e-10)

@@ -2,12 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 from scipy.linalg import subspace_angles
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from lmh import solvers
-from lmh.fem import assemble_mass, assemble_stiffness, mass_diagonal
+from lmh.fem import (
+    assemble_mass,
+    assemble_stiffness,
+    energy_terms,
+    mass_diagonal,
+    penalty_weights,
+)
 from lmh.localized import Region, build_lmh_operator, compute_lmh, compute_mh
 from lmh.solvers import (
     DENSE_ORACLE_MAX_N,
@@ -21,6 +29,7 @@ from lmh.solvers import (
     smallest_eigenpairs,
     woodbury_solve,
 )
+
 
 from oracles import dense_pencil_eig
 
@@ -137,6 +146,60 @@ class TestWoodbury:
             if isinstance(val, np.ndarray) and val.ndim == 2
         ]
         assert all(min(s) <= 3 for s in dense_attrs), dense_attrs
+
+
+class TestShiftedSolveProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        rank=st.integers(0, 4),
+        mu_perp=st.one_of(st.just(0.0), st.floats(1e-3, 1e6)),
+        shift=st.floats(1e-3, 1.0),
+        columns=st.sampled_from([None, 1, 3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_dense_solve(self, unit_square, rank, mu_perp, shift,
+                                 columns, seed):
+        # exercises the refinement loop both around the LU (inside the
+        # Woodbury step) and around the Woodbury step itself
+        rng = np.random.default_rng(seed)
+        W, A = assemble_stiffness(unit_square), assemble_mass(unit_square)
+        a = mass_diagonal(A)
+        n = a.size
+        Z = W + shift * A
+        B = a[:, None] * rng.normal(size=(n, rank))  # mass times a subspace
+        system = LowRankShiftedSystem(Z, B, mu_perp, A)
+        rhs = rng.normal(size=n if columns is None else (n, columns))
+        x = system.solve_shifted(rhs)
+        expect = np.linalg.solve(Z.toarray() + mu_perp * (B @ B.T), rhs)
+        assert x.shape == rhs.shape
+        assert np.linalg.norm(x - expect) <= 1e-8 * np.linalg.norm(expect)
+
+    @given(u=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=30))
+    def test_penalty_weights_of_region_and_raw_membership(self, u):
+        n = len(u)
+        v = penalty_weights(Region(u), n)
+        np.testing.assert_array_equal(v, penalty_weights(np.array(u), n))
+        np.testing.assert_array_equal(v, (1.0 - np.array(u)) ** 2)
+        np.testing.assert_array_equal(v, Region(u).v)
+        np.testing.assert_array_equal(
+            penalty_weights(None, n), penalty_weights(Region.full(n), n)
+        )
+
+    @given(
+        length=st.integers(1, 242).filter(lambda m: m != 121),
+        as_region=st.booleans(),
+        route=st.sampled_from(["hard", "energy"]),
+    )
+    def test_wrong_length_region_is_named(self, unit_square, length, as_region,
+                                          route):
+        W, A = assemble_stiffness(unit_square), assemble_mass(unit_square)
+        u = np.full(length, 0.5)
+        region = Region(u) if as_region else u
+        with pytest.raises(ValueError, match=f"{length} values for 121 vertices"):
+            if route == "hard":
+                hard_constraint_eig(W, A, region, None, 100.0, 1)
+            else:
+                energy_terms(W, A, region, None, np.ones(121))
 
 
 class TestSmallestEigenpairs:

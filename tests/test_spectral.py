@@ -8,7 +8,6 @@ from lmh.localized import Region, compute_lmh, compute_mh, compute_pmh
 from lmh.spectral import (
     analyze,
     basis_cross_orthogonality,
-    reconstructed_mesh,
     reconstruction_error,
     reconstruct_surface,
     synthesize,
@@ -193,10 +192,3 @@ class TestReconstructionError:
         with pytest.raises(ValueError):
             reconstruction_error(sphere, sphere.vertices[:-1])
 
-
-class TestReconstructedMesh:
-    def test_keeps_connectivity(self, sphere):
-        rec = sphere.vertices * 0.5
-        out = reconstructed_mesh(sphere, rec)
-        np.testing.assert_array_equal(out.faces, sphere.faces)
-        np.testing.assert_allclose(out.vertices, rec, atol=0)
