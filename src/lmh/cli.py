@@ -21,6 +21,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +30,7 @@ from . import io as lmhio
 from .fem import assemble_mass
 from .localized import (
     DEFAULT_MU_R,
+    SOLVERS,
     Region,
     compute_lmh,
     compute_mh,
@@ -78,14 +80,15 @@ _positive_int = _number(int, 1)
 _nonneg_int = _number(int, 0)
 
 
-def _out_dir(args):
+def _out_path(args, name):
+    """``--out-dir``/``--prefix``+name; creates the directory on first use."""
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    return out
+    return out / f"{args.prefix}{name}"
 
 
-def _emit(summary):
-    print(json.dumps(summary, sort_keys=True))
+def _emit(args, summary):
+    print(json.dumps({"command": args.command, **summary}, sort_keys=True))
 
 
 def _read_region(path, n):
@@ -97,11 +100,25 @@ def _read_region(path, n):
     return region
 
 
-def _write_basis(basis, out, prefix, stem):
-    basis_path = out / f"{prefix}{stem}_basis.txt"
-    spectrum_path = out / f"{prefix}{stem}_spectrum.txt"
+def _emit_basis(args, mesh, basis, **extra):
+    """Write ``<command>_basis.txt`` and ``<command>_spectrum.txt``, print
+    the summary every basis command shares plus ``extra``; returns 0."""
+    basis_path = _out_path(args, f"{args.command}_basis.txt")
+    spectrum_path = _out_path(args, f"{args.command}_spectrum.txt")
     lmhio.save_basis(basis, basis_path, spectrum_path)
-    return basis_path, spectrum_path
+    _emit(
+        args,
+        {
+            "n_vertices": mesh.n_vertices,
+            "k": args.k,
+            "lambda_first": float(basis.spectrum[0]),
+            "lambda_last": float(basis.spectrum[-1]),
+            "basis_file": str(basis_path),
+            "spectrum_file": str(spectrum_path),
+            **extra,
+        },
+    )
+    return 0
 
 
 # ---------------------------------------------------------------- handlers
@@ -110,20 +127,7 @@ def _write_basis(basis, out, prefix, stem):
 def cmd_mh(args):
     mesh = read_mesh(args.mesh)
     basis = compute_mh(mesh, args.k, seed=args.seed)
-    out = _out_dir(args)
-    basis_path, spectrum_path = _write_basis(basis, out, args.prefix, "mh")
-    _emit(
-        {
-            "command": "mh",
-            "n_vertices": mesh.n_vertices,
-            "k": args.k,
-            "lambda_first": float(basis.spectrum[0]),
-            "lambda_last": float(basis.spectrum[-1]),
-            "basis_file": str(basis_path),
-            "spectrum_file": str(spectrum_path),
-        }
-    )
-    return 0
+    return _emit_basis(args, mesh, basis)
 
 
 def cmd_lmh(args):
@@ -156,47 +160,26 @@ def cmd_lmh(args):
         solver=args.solver,
         seed=args.seed,
     )
-    out = _out_dir(args)
-    basis_path, spectrum_path = _write_basis(basis, out, args.prefix, "lmh")
-    _emit(
-        {
-            "command": "lmh",
-            "n_vertices": mesh.n_vertices,
-            "k": args.k,
-            "kprime": kprime,
-            "mu_r": args.mu_r,
-            "mu_perp": float(basis.params["mu_perp"]),
-            "solver": args.solver,
-            "lambda_first": float(basis.spectrum[0]),
-            "lambda_last": float(basis.spectrum[-1]),
-            "phi_overlap_max": float(basis.params["phi_overlap_max"]),
-            "orthonormality_defect": float(basis.params["orthonormality_defect"]),
-            "basis_file": str(basis_path),
-            "spectrum_file": str(spectrum_path),
-        }
+    return _emit_basis(
+        args,
+        mesh,
+        basis,
+        kprime=kprime,
+        mu_r=args.mu_r,
+        mu_perp=float(basis.params["mu_perp"]),
+        solver=args.solver,
+        phi_overlap_max=float(basis.params["phi_overlap_max"]),
+        orthonormality_defect=float(basis.params["orthonormality_defect"]),
     )
-    return 0
 
 
 def cmd_pmh(args):
     mesh = read_mesh(args.mesh)
     region = _read_region(args.region, mesh.n_vertices)
     basis = compute_pmh(mesh, region, args.k, seed=args.seed)
-    out = _out_dir(args)
-    basis_path, spectrum_path = _write_basis(basis, out, args.prefix, "pmh")
-    _emit(
-        {
-            "command": "pmh",
-            "n_vertices": mesh.n_vertices,
-            "submesh_vertices": int(len(basis.params["vertex_indices"])),
-            "k": args.k,
-            "lambda_first": float(basis.spectrum[0]),
-            "lambda_last": float(basis.spectrum[-1]),
-            "basis_file": str(basis_path),
-            "spectrum_file": str(spectrum_path),
-        }
+    return _emit_basis(
+        args, mesh, basis, submesh_vertices=int(len(basis.params["vertex_indices"]))
     )
-    return 0
 
 
 def cmd_region(args):
@@ -218,18 +201,17 @@ def cmd_region(args):
         raise CliError("one of --seeds or --box is required")
     if args.threshold is not None:
         region = Region((region.u >= args.threshold).astype(np.float64))
-    out = _out_dir(args)
-    path = out / f"{args.prefix}region.txt"
+    path = _out_path(args, "region.txt")
     lmhio.save_region(region, path)
     _emit(
+        args,
         {
-            "command": "region",
             "n_vertices": mesh.n_vertices,
             "binary": bool(region.is_binary),
             "u_max": float(region.u.max()),
             "u_sum": float(region.u.sum()),
             "region_file": str(path),
-        }
+        },
     )
     return 0
 
@@ -245,20 +227,7 @@ def cmd_gap(args):
         mu_perp=args.mu_perp,
         seed=args.seed,
     )
-    _emit(
-        {
-            "command": "gap",
-            "kprime": report.kprime,
-            "mu_r": report.mu_r,
-            "mu_perp": report.mu_perp,
-            "lam_kprime_W": report.lam_kprime_W,
-            "lam_next_W": report.lam_next_W,
-            "lam1_Q": report.lam1_Q,
-            "gap": report.gap,
-            "threshold": report.threshold,
-            "passed": report.passed,
-        }
-    )
+    _emit(args, asdict(report))
     return 0 if report.passed else 2
 
 
@@ -275,20 +244,13 @@ def cmd_bound(args):
         seed=args.seed,
         tolerance=args.tolerance,
     )
-    _emit(
-        {
-            "command": "bound",
-            "kprime": report.kprime,
-            "k": report.k,
-            "mu_r": report.mu_r,
-            "mu_perp": report.mu_perp,
-            "tolerance": report.tolerance,
-            "lmh_spectrum": [float(x) for x in report.lmh_spectrum],
-            "submesh_spectrum": [float(x) for x in report.submesh_spectrum],
-            "min_margin": float(report.margins.min()),
-            "passed": report.passed,
-        }
+    summary = asdict(report)
+    summary.update(
+        lmh_spectrum=report.lmh_spectrum.tolist(),
+        submesh_spectrum=report.submesh_spectrum.tolist(),
+        min_margin=float(summary.pop("margins").min()),
     )
+    _emit(args, summary)
     return 0 if report.passed else 2
 
 
@@ -312,16 +274,13 @@ def cmd_weyl(args):
     area = surface_area(mesh, region)
     fit = weyl_slope(basis, area)
     _emit(
+        args,
         {
-            "command": "weyl",
+            **asdict(fit),
             "k": args.k,
             "kprime": args.kprime,
-            "slope": fit.slope,
-            "intercept": fit.intercept,
-            "r_squared": fit.r_squared,
-            "region_area": fit.region_area,
             "normalized_slope": float(fit.normalized_slope),
-        }
+        },
     )
     return 0
 
@@ -337,21 +296,20 @@ def cmd_reconstruct(args):
             )
     rec = reconstruct_surface(mesh, bases)
     per_vertex, mean = reconstruction_error(mesh, rec)
-    out = _out_dir(args)
-    mesh_path = out / f"{args.prefix}reconstructed.off"
-    err_path = out / f"{args.prefix}recon_error.txt"
+    mesh_path = _out_path(args, "reconstructed.off")
+    err_path = _out_path(args, "recon_error.txt")
     write_off((rec, mesh.faces), mesh_path)
     lmhio.save_scalar_field(per_vertex, err_path)
     _emit(
+        args,
         {
-            "command": "reconstruct",
             "n_vertices": mesh.n_vertices,
             "n_functions": int(sum(b.n_functions for b in bases)),
             "mean_error": float(mean),
             "max_error": float(per_vertex.max()),
             "mesh_file": str(mesh_path),
             "error_file": str(err_path),
-        }
+        },
     )
     return 0
 
@@ -365,11 +323,9 @@ def cmd_fmap(args):
     p2p = lmhio.load_p2p(args.p2p)
     A_y = assemble_mass(mesh_y)
     fm = build_fmap(basis_x, basis_y, p2p, A_y)
-    out = _out_dir(args)
-    path = out / f"{args.prefix}cmatrix.txt"
+    path = _out_path(args, "cmatrix.txt")
     lmhio.save_cmatrix(fm.C, path)
     summary = {
-        "command": "fmap",
         "rows": fm.shape[0],
         "cols": fm.shape[1],
         "frobenius": float(np.linalg.norm(fm.C)),
@@ -377,7 +333,7 @@ def cmd_fmap(args):
     }
     if args.kprime is not None and args.k is not None:
         summary["offblock_energy"] = float(offblock_energy(fm, args.kprime, args.k))
-    _emit(summary)
+    _emit(args, summary)
     return 0
 
 
@@ -391,16 +347,9 @@ def cmd_p2p(args):
             f"{basis_y.n_functions} (Y) and {basis_x.n_functions} (X) functions"
         )
     p2p = recover_p2p(C, basis_x=basis_x, basis_y=basis_y)
-    out = _out_dir(args)
-    path = out / f"{args.prefix}p2p.txt"
+    path = _out_path(args, "p2p.txt")
     lmhio.save_p2p(p2p, path)
-    _emit(
-        {
-            "command": "p2p",
-            "n": int(p2p.shape[0]),
-            "p2p_file": str(path),
-        }
-    )
+    _emit(args, {"n": int(p2p.shape[0]), "p2p_file": str(path)})
     return 0
 
 
@@ -415,18 +364,17 @@ def cmd_error_curve(args):
         n_thresholds=args.thresholds,
         max_threshold=args.max_threshold,
     )
-    out = _out_dir(args)
-    path = out / f"{args.prefix}curve.csv"
+    path = _out_path(args, "curve.csv")
     lmhio.save_curve(stats.thresholds, stats.fractions, path)
     _emit(
+        args,
         {
-            "command": "error-curve",
             "n": int(stats.per_vertex.shape[0]),
             "mean_error": stats.mean,
             "median_error": float(np.median(stats.per_vertex)),
             "exact_fraction": float((stats.per_vertex == 0).mean()),
             "curve_file": str(path),
-        }
+        },
     )
     return 0
 
@@ -434,9 +382,9 @@ def cmd_error_curve(args):
 def cmd_bench(args):
     paths = [p.strip() for p in args.paths.split(",") if p.strip()]
     for p in paths:
-        if p not in ("relaxed", "hard", "oracle"):
+        if p not in SOLVERS:
             raise CliError(f"unknown solver path '{p}'")
-    rows = []
+    lines = ["mesh,n_vertices,k,kprime,path,status,seconds"]
     for mesh_path in args.mesh:
         mesh = read_mesh(mesh_path)
         if args.region:
@@ -450,22 +398,18 @@ def cmd_bench(args):
                 compute_lmh(
                     mesh, region, args.k, args.kprime, solver=solver, seed=args.seed
                 )
-            except ValueError as exc:
-                # size-guard refusal (mirrors the hard path's documented limit)
+                status, seconds = "ok", f"{time.perf_counter() - start:.6f}"
+            except (ValueError, NumericalError) as exc:
+                # ValueError: a size-guard refusal (the hard path's documented
+                # limit); NumericalError: a solver breakdown
                 print(f"# {name} {solver}: {exc}", file=sys.stderr)
-                rows.append((name, mesh.n_vertices, solver, "refused", ""))
-                continue
-            except NumericalError as exc:
-                print(f"# {name} {solver}: {exc}", file=sys.stderr)
-                rows.append((name, mesh.n_vertices, solver, "failed", ""))
-                continue
-            seconds = time.perf_counter() - start
-            rows.append((name, mesh.n_vertices, solver, "ok", f"{seconds:.6f}"))
-    lines = ["mesh,n_vertices,k,kprime,path,status,seconds"]
-    for name, n, solver, status, seconds in rows:
-        lines.append(f"{name},{n},{args.k},{args.kprime},{solver},{status},{seconds}")
-    out = _out_dir(args)
-    path = out / f"{args.prefix}bench.csv"
+                status = "failed" if isinstance(exc, NumericalError) else "refused"
+                seconds = ""
+            lines.append(
+                f"{name},{mesh.n_vertices},{args.k},{args.kprime},{solver},"
+                f"{status},{seconds}"
+            )
+    path = _out_path(args, "bench.csv")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     for line in lines:
         print(line)
@@ -492,7 +436,6 @@ def build_parser():
     p = subs.add_parser("mh", help="global harmonics (smallest eigenpairs of (W, A))")
     p.add_argument("--mesh", required=True, help="OFF or OBJ mesh file")
     p.add_argument("--k", type=_positive_int, required=True, help="basis size")
-    _add_common(p)
     p.set_defaults(func=cmd_mh)
 
     p = subs.add_parser("lmh", help="localized harmonics on a region")
@@ -509,16 +452,13 @@ def build_parser():
     p.add_argument("--phi", default=None,
                    help="basis file with the harmonics to avoid (reuse an "
                         "mh run instead of recomputing)")
-    p.add_argument("--solver", choices=("relaxed", "hard", "oracle"),
-                   default="relaxed")
-    _add_common(p)
+    p.add_argument("--solver", choices=SOLVERS, default="relaxed")
     p.set_defaults(func=cmd_lmh)
 
     p = subs.add_parser("pmh", help="harmonics of the extracted region submesh")
     p.add_argument("--mesh", required=True)
     p.add_argument("--region", required=True, help="binary membership file")
     p.add_argument("--k", type=_positive_int, required=True)
-    _add_common(p)
     p.set_defaults(func=cmd_pmh)
 
     p = subs.add_parser("region", help="build a membership file")
@@ -532,7 +472,6 @@ def build_parser():
                    help="binary region from an axis-aligned rectangle")
     p.add_argument("--threshold", type=_nonneg_float, default=None,
                    help="binarize: u = 1 where u >= threshold")
-    _add_common(p)
     p.set_defaults(func=cmd_region)
 
     p = subs.add_parser("gap", help="check lam_1(Q) >= lam_k'(W)")
@@ -542,7 +481,6 @@ def build_parser():
     p.add_argument("--kprime", type=_positive_int, required=True)
     p.add_argument("--mu-r", type=_nonneg_float, default=DEFAULT_MU_R)
     p.add_argument("--mu-perp", type=_nonneg_float, default=None)
-    _add_common(p)
     p.set_defaults(func=cmd_gap)
 
     p = subs.add_parser("bound", help="check lam_i(Q) <= lam_{i+k'}(W_R)")
@@ -553,7 +491,6 @@ def build_parser():
     p.add_argument("--mu-r", type=_nonneg_float, default=1e4)
     p.add_argument("--mu-perp", type=_nonneg_float, default=None)
     p.add_argument("--tolerance", type=_nonneg_float, default=1e-3)
-    _add_common(p)
     p.set_defaults(func=cmd_bound)
 
     p = subs.add_parser("weyl", help="linear growth fit of the localized spectrum")
@@ -563,14 +500,12 @@ def build_parser():
     p.add_argument("--kprime", type=_nonneg_int, default=20)
     p.add_argument("--mu-r", type=_nonneg_float, default=DEFAULT_MU_R)
     p.add_argument("--mu-perp", type=_nonneg_float, default=None)
-    _add_common(p)
     p.set_defaults(func=cmd_weyl)
 
     p = subs.add_parser("reconstruct", help="project coordinates onto bases")
     p.add_argument("--mesh", required=True)
     p.add_argument("--basis", required=True, nargs="+",
                    help="one or more basis files (concatenated)")
-    _add_common(p)
     p.set_defaults(func=cmd_reconstruct)
 
     p = subs.add_parser("fmap", help="functional map from a point-to-point map")
@@ -582,14 +517,12 @@ def build_parser():
     p.add_argument("--kprime", type=_nonneg_int, default=None,
                    help="with --k, report off-block energy")
     p.add_argument("--k", type=_positive_int, default=None)
-    _add_common(p)
     p.set_defaults(func=cmd_fmap)
 
     p = subs.add_parser("p2p", help="recover a point-to-point map from C")
     p.add_argument("--cmatrix", required=True)
     p.add_argument("--basis-x", required=True)
     p.add_argument("--basis-y", required=True)
-    _add_common(p)
     p.set_defaults(func=cmd_p2p)
 
     p = subs.add_parser("error-curve", help="geodesic error of a recovered map")
@@ -599,7 +532,6 @@ def build_parser():
     p.add_argument("--truth", required=True, help="ground-truth map file")
     p.add_argument("--thresholds", type=_positive_int, default=100)
     p.add_argument("--max-threshold", type=_nonneg_float, default=0.5)
-    _add_common(p)
     p.set_defaults(func=cmd_error_curve)
 
     p = subs.add_parser("bench", help="time the solver paths")
@@ -610,9 +542,11 @@ def build_parser():
                    help="comma-separated subset of relaxed,hard,oracle")
     p.add_argument("--region", default=None,
                    help="membership file (default: soft region seeded at vertex 0)")
-    _add_common(p)
     p.set_defaults(func=cmd_bench)
 
+    # after every subcommand, so the common flags close each --help listing
+    for sub in subs.choices.values():
+        _add_common(sub)
     return parser
 
 

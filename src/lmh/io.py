@@ -1,7 +1,9 @@
 """Deterministic text formats for regions, bases, maps and curves.
 
-All floats are written with 17 significant digits, which round-trips
-float64 exactly, so identical runs produce byte-identical files.
+Every writer goes through ``np.savetxt``, which owns the byte format:
+floats are written with ``%.17g`` (17 significant digits, which
+round-trips float64 exactly, so identical runs produce byte-identical
+files) and integers with ``%d``, one row per line.
 """
 
 from __future__ import annotations
@@ -10,17 +12,19 @@ import numpy as np
 
 from .localized import Region, SpectralBasis
 
+_FLOAT = "%.17g"
 
-def _fmt(x):
-    return f"{x:.17g}"
+
+def _savetxt(path, X, fmt=_FLOAT, **kwargs):
+    # np.savetxt on an open handle: a name ending in .gz stays plain text
+    with open(path, "w", encoding="utf-8") as fh:
+        np.savetxt(fh, X, fmt=fmt, **kwargs)
 
 
 def save_region(region, path):
     """One membership value per line."""
     u = np.asarray(getattr(region, "u", region), dtype=np.float64)
-    with open(path, "w", encoding="utf-8") as fh:
-        for val in u:
-            fh.write(_fmt(val) + "\n")
+    _savetxt(path, u)
 
 
 def load_region(path):
@@ -28,18 +32,28 @@ def load_region(path):
     return Region(u)
 
 
+def _save_matrix(M, path):
+    _savetxt(path, M, header=f"{M.shape[0]} {M.shape[1]}", comments="")
+
+
+def _load_matrix(path, what, expected):
+    """Read a matrix behind a two-number shape header, checking both."""
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().split()
+        if len(header) != 2:
+            raise ValueError(f"{path}: malformed {what} header (expected '{expected}')")
+        r, c = int(header[0]), int(header[1])
+        M = np.loadtxt(fh, dtype=np.float64, ndmin=2)
+    if M.shape != (r, c):
+        raise ValueError(f"{path}: header promises {r}x{c}, file holds {M.shape}")
+    return M
+
+
 def save_basis(basis, basis_path, spectrum_path=None):
     """Write functions ("n m" header then n rows) and eigenvalues."""
-    functions = basis.functions
-    n, m = functions.shape
-    with open(basis_path, "w", encoding="utf-8") as fh:
-        fh.write(f"{n} {m}\n")
-        for row in functions:
-            fh.write(" ".join(_fmt(x) for x in row) + "\n")
+    _save_matrix(basis.functions, basis_path)
     if spectrum_path is not None:
-        with open(spectrum_path, "w", encoding="utf-8") as fh:
-            for val in basis.spectrum:
-                fh.write(_fmt(val) + "\n")
+        _savetxt(spectrum_path, basis.spectrum)
 
 
 def load_basis(basis_path, spectrum_path=None, kind="MH"):
@@ -48,16 +62,8 @@ def load_basis(basis_path, spectrum_path=None, kind="MH"):
     Dirichlet energies are not stored in the file format; the loaded
     basis carries NaNs there, and the given ``kind`` label is trusted.
     """
-    with open(basis_path, "r", encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise ValueError(f"{basis_path}: malformed basis header (expected 'n m')")
-        n, m = int(header[0]), int(header[1])
-        functions = np.loadtxt(fh, dtype=np.float64, ndmin=2)
-    if functions.shape != (n, m):
-        raise ValueError(
-            f"{basis_path}: header promises {n}x{m}, file holds {functions.shape}"
-        )
+    functions = _load_matrix(basis_path, "basis", "n m")
+    m = functions.shape[1]
     if spectrum_path is not None:
         spectrum = np.loadtxt(spectrum_path, dtype=np.float64, ndmin=1)
         if spectrum.shape != (m,):
@@ -75,10 +81,7 @@ def load_basis(basis_path, spectrum_path=None, kind="MH"):
 
 def save_p2p(p2p, path):
     """One 0-based target vertex index per line."""
-    p2p = np.asarray(p2p, dtype=np.int64)
-    with open(path, "w", encoding="utf-8") as fh:
-        for idx in p2p:
-            fh.write(f"{idx}\n")
+    _savetxt(path, np.asarray(p2p, dtype=np.int64), fmt="%d")
 
 
 def load_p2p(path):
@@ -87,23 +90,11 @@ def load_p2p(path):
 
 def save_cmatrix(C, path):
     """Write a dense matrix with a "rows cols" header line."""
-    C = np.asarray(C, dtype=np.float64)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{C.shape[0]} {C.shape[1]}\n")
-        for row in C:
-            fh.write(" ".join(_fmt(x) for x in row) + "\n")
+    _save_matrix(np.asarray(C, dtype=np.float64), path)
 
 
 def load_cmatrix(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise ValueError(f"{path}: malformed matrix header (expected 'rows cols')")
-        r, c = int(header[0]), int(header[1])
-        C = np.loadtxt(fh, dtype=np.float64, ndmin=2)
-    if C.shape != (r, c):
-        raise ValueError(f"{path}: header promises {r}x{c}, file holds {C.shape}")
-    return C
+    return _load_matrix(path, "matrix", "rows cols")
 
 
 def save_curve(thresholds, fractions, path):
@@ -112,10 +103,8 @@ def save_curve(thresholds, fractions, path):
     fractions = np.asarray(fractions, dtype=np.float64)
     if thresholds.shape != fractions.shape:
         raise ValueError("thresholds and fractions differ in length")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("threshold,fraction\n")
-        for t, f in zip(thresholds, fractions):
-            fh.write(f"{_fmt(t)},{_fmt(f)}\n")
+    data = np.column_stack([thresholds, fractions])
+    _savetxt(path, data, delimiter=",", header="threshold,fraction", comments="")
 
 
 def load_curve(path):
@@ -125,10 +114,7 @@ def load_curve(path):
 
 def save_scalar_field(values, path):
     """One per-vertex value per line."""
-    values = np.asarray(values, dtype=np.float64)
-    with open(path, "w", encoding="utf-8") as fh:
-        for val in values:
-            fh.write(_fmt(val) + "\n")
+    _savetxt(path, np.asarray(values, dtype=np.float64))
 
 
 def load_scalar_field(path):

@@ -34,6 +34,7 @@ from .solvers import (
 
 DEFAULT_MU_R = 100.0
 DEFAULT_MU_PERP = 1e5
+SOLVERS = ("relaxed", "hard", "oracle")
 
 
 class Region:
@@ -303,7 +304,7 @@ def compute_lmh(
         raise ValueError(
             f"need 1 <= k and k + kprime < n = {n}, got k={k}, kprime={kprime}"
         )
-    if solver not in ("relaxed", "hard", "oracle"):
+    if solver not in SOLVERS:
         raise ValueError(f"unknown solver path '{solver}'")
     a = mass_diagonal(A)
     if region is not None and not np.any(membership(region, n)):
@@ -334,21 +335,23 @@ def compute_lmh(
     if sigma is None:
         sigma = default_shift(W)
 
-    if solver == "relaxed":
-        system, q_apply = build_lmh_operator(W, A, region, phi, mu_r, mu_perp, sigma)
-        lam, Psi = smallest_eigenpairs(
-            q_apply, system.solve_shifted, A, k, sigma, seed=seed
-        )
-    elif solver == "hard":
+    if solver == "hard":
         lam, Psi = hard_constraint_eig(W, A, region, phi, mu_r, k)
     else:
-        if n > DENSE_ORACLE_MAX_N:
+        if solver == "oracle" and n > DENSE_ORACLE_MAX_N:
             raise ValueError(
                 f"oracle path limited to {DENSE_ORACLE_MAX_N} vertices, got {n}"
             )
-        _, q_apply = build_lmh_operator(W, A, region, phi, mu_r, mu_perp, 0.0)
-        vals, vecs = dense_oracle_eig(q_apply(np.eye(n)), A)
-        lam, Psi = vals[:k], vecs[:, :k]
+        # the oracle only needs q_apply, which does not depend on sigma;
+        # building at sigma keeps the factorization regular when v = 0
+        system, q_apply = build_lmh_operator(W, A, region, phi, mu_r, mu_perp, sigma)
+        if solver == "relaxed":
+            lam, Psi = smallest_eigenpairs(
+                q_apply, system.solve_shifted, A, k, sigma, seed=seed
+            )
+        else:
+            vals, vecs = dense_oracle_eig(q_apply(np.eye(n)), A)
+            lam, Psi = vals[:k], vecs[:, :k]
 
     # serial BLAS, as in the solve, keeps these diagnostics independent
     # of the thread count

@@ -244,10 +244,10 @@ def write_off(mesh, path):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("OFF\n")
         fh.write(f"{vertices.shape[0]} {faces.shape[0]} 0\n")
-        for v in vertices:
-            fh.write(f"{v[0]:.17g} {v[1]:.17g} {v[2]:.17g}\n")
-        for f in faces:
-            fh.write(f"3 {f[0]} {f[1]} {f[2]}\n")
+        # % on Python scalars from tolist(): np.savetxt formats numpy
+        # scalars row by row and takes about twice as long on a 20k mesh
+        fh.writelines("%.17g %.17g %.17g\n" % tuple(v) for v in vertices.tolist())
+        fh.writelines("3 %d %d %d\n" % tuple(f) for f in faces.tolist())
 
 
 def triangle_areas(mesh):

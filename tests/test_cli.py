@@ -34,11 +34,42 @@ def sphere_file(tmp_path_factory):
     return path
 
 
+_BASIS_KEYS = {"command", "n_vertices", "k", "lambda_first", "lambda_last",
+               "basis_file", "spectrum_file"}
+
+# exact key set of each subcommand's JSON summary
+SUMMARY_KEYS = {
+    "mh": _BASIS_KEYS,
+    "lmh": _BASIS_KEYS | {"kprime", "mu_r", "mu_perp", "solver",
+                          "phi_overlap_max", "orthonormality_defect"},
+    "pmh": _BASIS_KEYS | {"submesh_vertices"},
+    "region": {"command", "n_vertices", "binary", "u_max", "u_sum",
+               "region_file"},
+    "gap": {"command", "kprime", "mu_r", "mu_perp", "lam_kprime_W",
+            "lam_next_W", "lam1_Q", "gap", "threshold", "passed"},
+    "bound": {"command", "kprime", "k", "mu_r", "mu_perp", "tolerance",
+              "lmh_spectrum", "submesh_spectrum", "min_margin", "passed"},
+    "weyl": {"command", "k", "kprime", "slope", "intercept", "r_squared",
+             "region_area", "normalized_slope"},
+    "reconstruct": {"command", "n_vertices", "n_functions", "mean_error",
+                    "max_error", "mesh_file", "error_file"},
+    "fmap": {"command", "rows", "cols", "frobenius", "cmatrix_file"},
+    "p2p": {"command", "n", "p2p_file"},
+    "error-curve": {"command", "n", "mean_error", "median_error",
+                    "exact_fraction", "curve_file"},
+}
+OPTIONAL_KEYS = {"fmap": {"offblock_energy"}}
+
+
 def run_json(capsys, argv):
-    """Run the CLI and parse the single-line JSON summary."""
+    """Run the CLI, parse the single-line JSON summary and check its keys."""
     code = cli.run(argv)
     out = capsys.readouterr().out.strip().splitlines()
-    return code, json.loads(out[-1])
+    summary = json.loads(out[-1])
+    command = argv[0]
+    assert summary["command"] == command
+    assert set(summary) - OPTIONAL_KEYS.get(command, set()) == SUMMARY_KEYS[command]
+    return code, summary
 
 
 def make_region(capsys, mesh_file, out_dir, box=("0.0", "0.5", "0.0", "0.5")):
@@ -463,6 +494,23 @@ class TestBench:
         assert code == 0
         row = captured.out.strip().splitlines()[-1].split(",")
         assert row[5] == "refused" and row[6] == ""
+
+    def test_numerical_failure_is_a_failed_row(self, capsys, mesh_file,
+                                               tmp_path, monkeypatch):
+        def boom(*args, **kwargs):
+            raise NumericalError("did not converge")
+
+        monkeypatch.setattr(cli, "compute_lmh", boom)
+        code = cli.run([
+            "bench", "--mesh", str(mesh_file), "--k", "5", "--kprime", "3",
+            "--paths", "relaxed", "--out-dir", str(tmp_path),
+        ])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.out.strip().splitlines()[-1] == (
+            "square.off,121,5,3,relaxed,failed,"
+        )
+        assert captured.err == "# square.off relaxed: did not converge\n"
 
     def test_unknown_path_rejected(self, capsys, mesh_file, tmp_path):
         code = cli.run([

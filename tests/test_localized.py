@@ -193,6 +193,15 @@ class TestComputeLmh:
         ref = np.maximum(np.abs(dense.spectrum), 1e-6)
         assert np.max(np.abs(fast.spectrum - dense.spectrum) / ref) <= 1e-6
 
+    @pytest.mark.parametrize("full", [False, True], ids=["none", "full"])
+    def test_oracle_without_penalty_matches_hard(self, unit_square, full):
+        # v = 0 leaves W, which is singular, as the sparse part; the oracle
+        # must not factorize it unshifted
+        region = Region.full(unit_square.n_vertices) if full else None
+        hard = compute_lmh(unit_square, region, k=5, kprime=3, solver="hard")
+        dense = compute_lmh(unit_square, region, k=5, kprime=3, solver="oracle")
+        np.testing.assert_allclose(dense.spectrum, hard.spectrum, rtol=0, atol=1e-8)
+
     def test_phi_reuse_matches_internal_computation(self, unit_square):
         region = Region.binary(
             unit_square.n_vertices,
