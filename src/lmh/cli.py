@@ -10,6 +10,9 @@ relaxed ``lmh`` that holds for the output files and the JSON summary at
 any BLAS thread count; the dense ``hard`` and ``oracle`` solvers match
 only at the same thread count.
 
+Warnings raised by a command print as ``warning: <message>`` on stderr,
+without a source location.
+
 Exit codes: 0 success, 1 validation error (bad flags, missing or
 malformed files, precondition violations), 2 numerical failure (solver
 breakdown, or a verification subcommand whose check did not pass).
@@ -21,6 +24,7 @@ import argparse
 import json
 import sys
 import time
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -560,14 +564,21 @@ def run(argv=None):
         return 1
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    try:
-        return args.func(args)
-    except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
-    except (CliError, MeshError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():
+        warnings.showwarning = _print_warning
+        try:
+            return args.func(args)
+        except NumericalError as exc:
+            print(f"numerical failure: {exc}", file=sys.stderr)
+            return 2
+        except (CliError, MeshError, ValueError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+
+
+def _print_warning(message, category, filename, lineno, file=None, line=None):
+    """``warnings.showwarning`` without the checkout-dependent location."""
+    print(f"warning: {message}", file=sys.stderr)
 
 
 def main():

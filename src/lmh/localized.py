@@ -213,6 +213,16 @@ def build_lmh_operator(W, A, region, phi, mu_r, mu_perp, sigma=0.0):
     ValueError
         If phi is not A-orthonormal within 1e-6 or a weight is negative.
     """
+    a, penalty, B, q_apply = _lmh_apply(W, A, region, phi, mu_r, mu_perp)
+    Z = W + sparse.diags_array(penalty - sigma * a)
+    return LowRankShiftedSystem(Z.tocsr(), B, mu_perp, A), q_apply
+
+
+def _lmh_apply(W, A, region, phi, mu_r, mu_perp):
+    """Checked parts of Q: ``(a, mu_r a v, A phi, q_apply)``, no factorization.
+
+    Raises the ``ValueError`` of ``build_lmh_operator`` on bad input.
+    """
     if mu_r < 0.0 or mu_perp < 0.0:
         raise ValueError("penalty weights must be non-negative")
     a = mass_diagonal(A)
@@ -229,9 +239,7 @@ def build_lmh_operator(W, A, region, phi, mu_r, mu_perp, sigma=0.0):
             raise ValueError("phi must be A-orthonormal (within 1e-6)")
 
     penalty = mu_r * a * v
-    Z = W + sparse.diags_array(penalty - sigma * a)
     B = a[:, None] * phi
-    system = LowRankShiftedSystem(Z.tocsr(), B, mu_perp, A)
 
     def q_apply(x):
         y = W @ x
@@ -240,7 +248,7 @@ def build_lmh_operator(W, A, region, phi, mu_r, mu_perp, sigma=0.0):
             y = y + mu_perp * (B @ (B.T @ x))
         return y
 
-    return system, q_apply
+    return a, penalty, B, q_apply
 
 
 def default_mu_perp(lam_next):
@@ -337,21 +345,20 @@ def compute_lmh(
 
     if solver == "hard":
         lam, Psi = hard_constraint_eig(W, A, region, phi, mu_r, k)
+    elif solver == "relaxed":
+        system, q_apply = build_lmh_operator(W, A, region, phi, mu_r, mu_perp, sigma)
+        lam, Psi = smallest_eigenpairs(
+            q_apply, system.solve_shifted, A, k, sigma, seed=seed
+        )
     else:
-        if solver == "oracle" and n > DENSE_ORACLE_MAX_N:
+        if n > DENSE_ORACLE_MAX_N:
             raise ValueError(
                 f"oracle path limited to {DENSE_ORACLE_MAX_N} vertices, got {n}"
             )
-        # the oracle only needs q_apply, which does not depend on sigma;
-        # building at sigma keeps the factorization regular when v = 0
-        system, q_apply = build_lmh_operator(W, A, region, phi, mu_r, mu_perp, sigma)
-        if solver == "relaxed":
-            lam, Psi = smallest_eigenpairs(
-                q_apply, system.solve_shifted, A, k, sigma, seed=seed
-            )
-        else:
-            vals, vecs = dense_oracle_eig(q_apply(np.eye(n)), A)
-            lam, Psi = vals[:k], vecs[:, :k]
+        # the dense solve only applies Q; no sparse factorization
+        q_apply = _lmh_apply(W, A, region, phi, mu_r, mu_perp)[-1]
+        vals, vecs = dense_oracle_eig(q_apply(np.eye(n)), A)
+        lam, Psi = vals[:k], vecs[:, :k]
 
     # serial BLAS, as in the solve, keeps these diagnostics independent
     # of the thread count

@@ -8,8 +8,12 @@ system. No n-by-n dense intermediate is formed on this path.
 
 Two dense routes exist for cross-checking and for exact constraints:
 ``dense_oracle_eig`` whitens the pencil and calls LAPACK, and
-``hard_constraint_eig`` restricts the operator to the A-orthogonal
-complement of a given subspace before the dense solve.
+``hard_constraint_eig`` restricts the whitened operator to the
+A-orthogonal complement of a given subspace by a congruence with the
+compact Householder reflectors of that subspace's QR (a symmetric
+rank-2k' update), then solves the trailing block. It never forms the
+orthogonal factor or a complement basis, so its memory peak is about
+two n-by-n arrays and its cost is the O(n^3) ``eigh``.
 
 Thread policy: the shift-invert Lanczos path runs with the bundled
 OpenBLAS pools at one thread (its BLAS calls are too small to gain from
@@ -27,7 +31,7 @@ from pathlib import Path
 import numpy as np
 import scipy
 from scipy import sparse
-from scipy.linalg import eigh, lu_factor, lu_solve, qr
+from scipy.linalg import blas, eigh, lu_factor, lu_solve, qr
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
 from .fem import mass_diagonal, penalty_weights
@@ -416,6 +420,24 @@ def _verified(q_apply, a, lam, Psi, residual_tol):
     return lam, Psi
 
 
+def _compact_wy(h, tau):
+    """``(Y, T)`` with ``H_1 ... H_k' = I - Y T Y^T`` for ``qr(..., mode="raw")``.
+
+    Y is the unit lower trapezoidal matrix of reflector vectors stored
+    in ``h``; the upper triangular T is built column by column as in
+    LAPACK ``dlarft``.
+    """
+    kprime = tau.size
+    Y = np.tril(h, -1)
+    Y[np.diag_indices(kprime)] = 1.0
+    G = Y.T @ Y
+    T = np.zeros((kprime, kprime))
+    for i in range(kprime):
+        T[:i, i] = -tau[i] * (T[:i, :i] @ G[:i, i])
+        T[i, i] = tau[i]
+    return Y, T
+
+
 def hard_constraint_eig(W, A, region, Phi, mu_r, k):
     """Exact eigenpairs of the penalized operator on the complement of Phi.
 
@@ -423,6 +445,18 @@ def hard_constraint_eig(W, A, region, Phi, mu_r, k):
     the span of Phi (so the constraint Phi^T A Psi = 0 holds exactly),
     then solves the reduced dense symmetric problem. Spurious null
     directions never enter: the reduction removes them structurally.
+
+    With S = diag(sqrt(a)), the whitened operator
+    ``M = S^-1 (W + mu_r A diag(v)) S^-1`` is formed once, in place. The
+    compact QR of ``S Phi`` gives k' Householder reflectors, Q = H_1 ...
+    H_k' = I - Y T Y^T; the congruence ``Q^T M Q`` is a symmetric
+    rank-2k' update of M's lower triangle (BLAS ``dsyr2k``), and its
+    trailing block (rows and columns k'..n-1) is M on the complement.
+    ``eigh`` solves that block for its k smallest eigenpairs, and only
+    those n-by-k eigenvectors are transformed back. Neither Q nor a
+    complement basis is formed, and the memory peak is about two n-by-n
+    arrays (M and the copy of the trailing block ``eigh`` takes).
+    k' = 0 runs the same steps with no reflectors.
 
     Parameters
     ----------
@@ -452,23 +486,29 @@ def hard_constraint_eig(W, A, region, Phi, mu_r, k):
             f"hard-constraint path is dense and limited to {HARD_PATH_MAX_N} "
             f"vertices; this mesh has {n}. Use the relaxed path instead."
         )
-    kprime = 0 if Phi is None else Phi.shape[1]
+    if Phi is None:
+        Phi = np.zeros((n, 0))
+    kprime = Phi.shape[1]
     if not 1 <= k <= n - kprime:
         raise ValueError(f"k must be in [1, {n - kprime}], got {k}")
 
     v = penalty_weights(region, n)
     s = np.sqrt(a)
-    penalty = mu_r * a * v
-    if kprime:
-        G = s[:, None] * Phi  # orthonormal columns when Phi is A-orthonormal
-        Qfull, _ = qr(G, mode="full")
-        U = Qfull[:, kprime:] / s[:, None]
-        ZU = W @ U + penalty[:, None] * U
-        M = U.T @ ZU
-    else:
-        U = None
-        M = W.toarray() / np.outer(s, s) + np.diag(mu_r * v)
-    M = 0.5 * (M + M.T)
-    vals, vecs = eigh(M, subset_by_index=(0, k - 1))
-    Psi = (U @ vecs) if U is not None else (vecs / s[:, None])
+    M = W.toarray(order="F")
+    M[np.diag_indices(n)] += mu_r * a * v
+    M /= s[:, None]
+    M /= s[None, :]
+    # S Phi has orthonormal columns when Phi is A-orthonormal
+    (h, tau), _ = qr(s[:, None] * Phi, mode="raw")
+    Y, T = _compact_wy(h, tau)
+    # for symmetric M, Q^T M Q = M - Z Y^T - Y Z^T with Z = X - Y K / 2,
+    # X = M Y T and K = T^T Y^T X; only the lower triangle is updated
+    X = M @ (Y @ T)
+    Z = X - 0.5 * (Y @ (T.T @ (Y.T @ X)))
+    M = blas.dsyr2k(-1.0, Z, Y, 1.0, M, lower=1, overwrite_c=1)
+    vals, vecs = eigh(M[kprime:, kprime:], lower=True, subset_by_index=(0, k - 1))
+    # Psi = S^-1 Q [0; vecs]
+    Psi = -(Y @ (T @ (Y[kprime:].T @ vecs)))
+    Psi[kprime:] += vecs
+    Psi /= s[:, None]
     return vals, canonical_signs(Psi)

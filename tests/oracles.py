@@ -98,3 +98,24 @@ def dense_pencil_eig(Q, a):
     H = 0.5 * (H + H.T)
     lam, U = np.linalg.eigh(H)
     return lam, s[:, None] * U
+
+
+def constrained_pencil_eig(Q, a, phi):
+    """All eigenpairs of (Q, diag(a)) on the A-orthogonal complement of phi.
+
+    With S = diag(sqrt(a)), the last n - k' left singular vectors of
+    S phi (full SVD) are an orthonormal basis of the complement of its
+    span; C = S^-1 times that basis is A-orthonormal, ``np.linalg.eigh``
+    solves the reduced matrix ``C^T Q C`` and psi = C y. ``phi`` must
+    have full column rank.
+    """
+    Q = np.asarray(Q, dtype=float)
+    a = np.asarray(a, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    s = np.sqrt(a)
+    U, _, _ = np.linalg.svd(s[:, None] * phi, full_matrices=True)
+    C = U[:, phi.shape[1]:] / s[:, None]
+    H = C.T @ Q @ C
+    H = 0.5 * (H + H.T)
+    lam, Y = np.linalg.eigh(H)
+    return lam, C @ Y

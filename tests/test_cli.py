@@ -320,6 +320,21 @@ class TestVerificationCommands:
         ])
         assert code == 2 and not summary["passed"]
 
+    def test_warning_prints_without_location(self, capsys, mesh_file):
+        # Python's default format starts with "<path>/cli.py:<line>:", which
+        # depends on the checkout; stdout keeps its JSON summary
+        code = cli.run([
+            "gap", "--mesh", str(mesh_file), "--kprime", "5",
+            "--mu-perp", "1.0",
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert json.loads(captured.out)["passed"] is False
+        assert captured.err.splitlines() == [
+            "warning: mu_perp=1 does not exceed lambda_(k'+1)=37.9752; "
+            "the gap bound assumes it does"
+        ]
+
     def test_bound_passes(self, capsys, mesh_file, tmp_path, recwarn):
         region_file = make_region(capsys, mesh_file, tmp_path,
                                   box=("0.0", "0.5", "0.0", "1.0"))

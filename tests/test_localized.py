@@ -8,6 +8,7 @@ from scipy import sparse
 from scipy.linalg import subspace_angles
 from scipy.spatial.transform import Rotation
 
+from lmh import solvers
 from lmh.fem import assemble_mass, assemble_stiffness, mass_diagonal
 from lmh.localized import (
     Region,
@@ -201,6 +202,23 @@ class TestComputeLmh:
         hard = compute_lmh(unit_square, region, k=5, kprime=3, solver="hard")
         dense = compute_lmh(unit_square, region, k=5, kprime=3, solver="oracle")
         np.testing.assert_allclose(dense.spectrum, hard.spectrum, rtol=0, atol=1e-8)
+
+    def test_oracle_runs_no_sparse_factorization(self, unit_square, monkeypatch):
+        n = unit_square.n_vertices
+        region = Region.binary(n, patch_vertices(unit_square, (0.0, 0.5), (0.0, 0.5)))
+        phi = compute_mh(unit_square, 4).functions
+        calls = []
+        splu = solvers.splu
+
+        def counting_splu(*args, **kwargs):
+            calls.append(1)
+            return splu(*args, **kwargs)
+
+        monkeypatch.setattr(solvers, "splu", counting_splu)
+        compute_lmh(unit_square, region, k=5, kprime=4, phi=phi, solver="oracle")
+        assert len(calls) == 0
+        compute_lmh(unit_square, region, k=5, kprime=4, phi=phi)
+        assert len(calls) == 1
 
     def test_phi_reuse_matches_internal_computation(self, unit_square):
         region = Region.binary(

@@ -1,5 +1,7 @@
 """Factorization, low-rank updates, and the three eigensolver paths."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,9 +31,10 @@ from lmh.solvers import (
     smallest_eigenpairs,
     woodbury_solve,
 )
+from lmh.synth import grid_mesh, patch_vertices
 
 
-from oracles import dense_pencil_eig
+from oracles import constrained_pencil_eig, dense_pencil_eig
 
 
 def random_spd_sparse(n, rng, density=0.05):
@@ -212,8 +215,6 @@ class TestSmallestEigenpairs:
         np.testing.assert_allclose(np.abs(basis.functions[:, 0]), const, rtol=1e-6)
 
     def test_grid_neumann_lambda2(self):
-        from lmh.synth import grid_mesh
-
         basis = compute_mh(grid_mesh(40, 40), 2)
         assert basis.spectrum[1] == pytest.approx(np.pi**2, rel=0.02)
 
@@ -322,6 +323,54 @@ class TestHardPath:
         assert np.abs(phi.T @ (a[:, None] * Psi)).max() <= 1e-10
         gram = Psi.T @ (a[:, None] * Psi)
         assert np.abs(gram - np.eye(8)).max() <= 1e-10
+
+    @pytest.mark.parametrize("kprime", [0, 5])
+    def test_matches_svd_complement_oracle_on_corpus(self, corpus, kprime):
+        k = 8
+        for name, mesh in corpus:
+            W = assemble_stiffness(mesh)
+            A = assemble_mass(mesh)
+            a = mass_diagonal(A)
+            n = mesh.n_vertices
+            x = mesh.vertices[:, 0]
+            region = Region.binary(n, np.flatnonzero(x <= np.median(x)))
+            phi = compute_mh(mesh, kprime, W=W, A=A).functions if kprime else None
+            phi_ref = np.zeros((n, 0)) if phi is None else phi
+            lam, Psi = hard_constraint_eig(W, A, region, phi, 100.0, k)
+            Q = W.toarray() + np.diag(100.0 * a * region.v)
+            lam_ref, Psi_ref = constrained_pencil_eig(Q, a, phi_ref)
+
+            scale = np.abs(lam_ref[:k]).max()
+            np.testing.assert_allclose(
+                lam, lam_ref[:k], rtol=1e-10, atol=1e-10 * scale, err_msg=name
+            )
+            aPsi = a[:, None] * Psi
+            if kprime:
+                assert np.abs(phi.T @ aPsi).max() <= 1e-12, name
+            assert np.abs(Psi.T @ aPsi - np.eye(k)).max() <= 1e-12, name
+            # span of the leading eigenvectors up to the last spectral gap
+            # in the window, so a degenerate pair at its edge cannot split
+            gaps = np.flatnonzero(np.diff(lam_ref[: k + 1]) > 1e-6 * scale)
+            m = int(gaps[-1]) + 1
+            ref = Psi_ref[:, :m]
+            leak = Psi[:, :m] - ref @ (ref.T @ aPsi[:, :m])
+            assert np.sqrt((a[:, None] * leak**2).sum(axis=0)).max() <= 1e-10, name
+
+    def test_memory_peak_is_two_dense_arrays(self):
+        mesh = grid_mesh(31, 31)
+        n = mesh.n_vertices
+        W = assemble_stiffness(mesh)
+        A = assemble_mass(mesh)
+        region = Region.binary(n, patch_vertices(mesh, (0.25, 0.75), (0.25, 0.75)))
+        phi = compute_mh(mesh, 10, W=W, A=A).functions
+        tracemalloc.start()
+        try:
+            hard_constraint_eig(W, A, region, phi, 100.0, 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert n == 1024
+        assert peak <= 2.5 * 8 * n * n, f"peak {peak / (8 * n * n):.2f} * 8n^2 bytes"
 
     def test_guard_suggests_relaxed(self):
         n = HARD_PATH_MAX_N + 1
