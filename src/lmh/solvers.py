@@ -4,7 +4,13 @@ The fast path solves the generalized problem Q psi = lam A psi with
 shift-invert Lanczos (ARPACK), where every inner solve against
 ``Q - sigma A = Z + mu_perp B B^T`` goes through a Woodbury identity:
 factorize the sparse part Z once, then correct with a dense rank-k'
-system. No n-by-n dense intermediate is formed on this path.
+system. No n-by-n dense intermediate is formed on this path. Each
+inner solve costs one LU solve as a rule: a single refinement loop on
+the full system (``_refine``) stops once the normwise backward error is
+at roundoff level, which the first Woodbury step usually reaches. When
+the Ritz pairs ARPACK returns miss the residual check, a few
+shift-invert block steps with Rayleigh-Ritz repair them before the
+check is final.
 
 Two dense routes exist for cross-checking and for exact constraints:
 ``dense_oracle_eig`` whitens the pencil and calls LAPACK, and
@@ -102,22 +108,35 @@ def _fro(x):
     return float(np.linalg.norm(x))
 
 
-def _refine(apply, step, rhs, rtol, max_refine):
+# refinement stops once the normwise backward error
+# |r| / (|K| |x| + |b|) is within this many unit roundoffs: one LU solve
+# of a well-scaled system already reaches a few, and a further step only
+# moves x at that level
+_BACKWARD_ERROR_ULPS = 64
+
+
+def _refine(apply, step, rhs, rtol, max_refine, norm_bound):
     """Solve ``apply(x) = rhs`` by iterative refinement of ``step``.
 
-    ``step`` is an approximate inverse of ``apply``. After the first
-    step, up to ``max_refine`` corrections are added while the residual
-    norm is above ``rtol`` times the right-hand side norm; a correction
-    that does not lower it is discarded and ends the loop.
+    ``step`` is an approximate inverse of ``apply`` and ``norm_bound``
+    an upper bound on the norm of the matrix ``apply`` multiplies by.
+    After the first step, up to ``max_refine`` corrections are added
+    while the residual norm is above both ``rtol`` times the right-hand
+    side norm and the backward-error floor
+    ``_BACKWARD_ERROR_ULPS * eps * (norm_bound * |x| + |rhs|)``; a
+    correction that does not lower it is discarded and ends the loop.
     """
     rhs = np.asarray(rhs, dtype=np.float64)
-    x = step(rhs)
     rhs_norm = _fro(rhs)
     if rhs_norm == 0.0:
         return np.zeros_like(rhs)
-    best, best_norm = x, _fro(rhs - apply(x))
+    floor = _BACKWARD_ERROR_ULPS * np.finfo(np.float64).eps
+    best = step(rhs)
+    best_norm = _fro(rhs - apply(best))
     for _ in range(max_refine):
-        if best_norm <= rtol * rhs_norm:
+        if best_norm <= max(
+            rtol * rhs_norm, floor * (norm_bound * _fro(best) + rhs_norm)
+        ):
             break
         x = best + step(rhs - apply(best))
         r_norm = _fro(rhs - apply(x))
@@ -130,11 +149,12 @@ def _refine(apply, step, rhs, rtol, max_refine):
 class Factorization:
     """Sparse LU of a symmetric positive (semi-)definite matrix.
 
-    Solves are polished with iterative refinement (``_refine`` owns the
-    policy, here and in ``LowRankShiftedSystem.solve_shifted``):
-    well-conditioned systems reach a 1e-12 relative residual,
-    deliberately shifted near-singular ones stop at their
-    backward-stable floor.
+    ``solve`` polishes with iterative refinement (``_refine`` owns the
+    policy, here and in ``LowRankShiftedSystem.solve_shifted``): it
+    stops at a 1e-12 relative residual or once the normwise backward
+    error is at roundoff level, measured against the cached bound
+    ``norm_bound`` = ||Z||_1, whichever comes first. ``lu_solve`` is the
+    bare triangular solve.
 
     Raises
     ------
@@ -181,9 +201,21 @@ class Factorization:
     def shape(self):
         return self._Z.shape
 
+    @functools.cached_property
+    def norm_bound(self):
+        """||Z||_1, the largest absolute column sum; bounds ||Z||_2 (Z = Z^T)."""
+        return float(abs(self._Z).sum(axis=0).max())
+
+    def lu_solve(self, rhs):
+        """One LU solve of Z x = rhs, without refinement."""
+        return self._lu.solve(rhs)
+
     def solve(self, rhs, rtol=1e-12, max_refine=3):
         """Solve Z x = rhs (rhs may be a vector or a matrix of columns)."""
-        return _refine(lambda x: self._Z @ x, self._lu.solve, rhs, rtol, max_refine)
+        return _refine(
+            lambda x: self._Z @ x, self.lu_solve, rhs, rtol, max_refine,
+            self.norm_bound,
+        )
 
 
 def factorize(Z):
@@ -205,17 +237,21 @@ class LowRankShiftedSystem:
         Weight of the rank-k' term.
     mass : sparse array or ndarray
         Lumped mass (used for right-hand sides of the form A b).
-    factorization : Factorization, optional
-        Reused if already available.
 
     Notes
     -----
-    The correction block ``Gamma = Z^{-1} (mu_perp B)`` and the LU of
-    the k'-by-k' matrix ``I + B^T Gamma`` are computed once at first
-    solve and reused for every subsequent right-hand side.
+    The correction block ``Gamma = Z^{-1} (mu_perp B)`` (a refined
+    solve) and the LU of the k'-by-k' matrix ``I + B^T Gamma`` are
+    computed once at first solve and reused for every subsequent
+    right-hand side. A Woodbury step costs one bare LU solve of Z; the
+    refinement loop of ``solve_shifted`` around it, on the full system,
+    is the only one, and stops at a 1e-12 relative residual or at the
+    backward-error floor measured against the cached bound
+    ``norm_bound`` = ||Z||_1 + mu_perp ||B||_2^2. One step usually
+    reaches that floor.
     """
 
-    def __init__(self, Z, B, mu_perp, mass, factorization=None):
+    def __init__(self, Z, B, mu_perp, mass):
         self.Z = sparse.csr_array(Z)
         n = self.Z.shape[0]
         self.B = np.zeros((n, 0)) if B is None else np.asarray(B, dtype=np.float64)
@@ -223,7 +259,7 @@ class LowRankShiftedSystem:
             raise ValueError("B must be an (n, k') array")
         self.mu_perp = float(mu_perp)
         self.mass = mass_diagonal(mass)
-        self.factorization = factorization if factorization is not None else factorize(Z)
+        self.factorization = factorize(Z)
         self._gamma = None
         self._inner_lu = None
 
@@ -234,6 +270,12 @@ class LowRankShiftedSystem:
     @property
     def rank(self):
         return self.B.shape[1]
+
+    @functools.cached_property
+    def norm_bound(self):
+        """||Z||_1 + mu_perp ||B||_2^2, a bound on the system's 2-norm."""
+        low_rank = self.mu_perp * np.linalg.norm(self.B, 2) ** 2 if self.rank else 0.0
+        return self.factorization.norm_bound + low_rank
 
     def apply(self, x):
         """Apply ``Z + mu_perp B B^T`` to a vector or matrix of columns."""
@@ -248,7 +290,7 @@ class LowRankShiftedSystem:
         self._inner_lu = lu_factor(inner)
 
     def _woodbury_step(self, rhs):
-        xi = self.factorization.solve(rhs)
+        xi = self.factorization.lu_solve(rhs)
         if self.rank == 0 or self.mu_perp == 0.0:
             return xi
         if self._gamma is None:
@@ -258,7 +300,9 @@ class LowRankShiftedSystem:
 
     def solve_shifted(self, rhs, rtol=1e-12, max_refine=2):
         """Solve ``(Z + mu_perp B B^T) x = rhs`` for a raw right-hand side."""
-        return _refine(self.apply, self._woodbury_step, rhs, rtol, max_refine)
+        return _refine(
+            self.apply, self._woodbury_step, rhs, rtol, max_refine, self.norm_bound
+        )
 
 
 def woodbury_solve(system, b):
@@ -333,10 +377,11 @@ def smallest_eigenpairs(
     Parameters
     ----------
     q_apply : callable
-        Applies Q to a vector (and to a matrix of columns, used only by
-        the small-problem dense fallback).
+        Applies Q to a vector or to a matrix of columns (the residual
+        check, the block polish and the small-problem dense fallback).
     q_solve : callable
-        Applies ``(Q - sigma A)^{-1}`` to a raw vector; typically
+        Applies ``(Q - sigma A)^{-1}`` to a raw vector, and to a matrix
+        of columns in the block polish; typically
         ``LowRankShiftedSystem.solve_shifted``.
     A : sparse array or ndarray
         Diagonal mass.
@@ -363,6 +408,17 @@ def smallest_eigenpairs(
     ------
     NumericalError
         On ARPACK non-convergence or a failed residual check.
+
+    Notes
+    -----
+    ARPACK's tolerance is relative to the largest Ritz value of the
+    inverted operator, and single-vector Lanczos separates a degenerate
+    pair only through roundoff, so a returned pair can miss the residual
+    check. Only then, up to ``_POLISH_ROUNDS`` times until the check
+    passes, the whole block of Ritz vectors takes one shift-invert
+    subspace step (``q_solve`` of ``A Psi``), is orthonormalized and
+    goes through a Rayleigh-Ritz step with Q and A. A run whose check
+    passes at once returns ARPACK's pairs unchanged.
     """
     a = mass_diagonal(A)
     n = a.size
@@ -399,24 +455,59 @@ def smallest_eigenpairs(
                 f"eigensolver did not converge for k={k} (sigma={sigma}); "
                 "try a different shift or a larger subspace"
             ) from exc
-        order = np.argsort(lam)[:k]
-        Psi = canonical_signs(Psi[:, order])
-        return _verified(q_apply, a, lam[order], Psi, residual_tol)
+        order = np.argsort(lam)
+        lam, Psi = lam[order], Psi[:, order]
+        failure = _residual_failure(q_apply, a, lam[:k], Psi[:, :k], residual_tol)
+        for _ in range(_POLISH_ROUNDS):
+            if failure is None:
+                break
+            lam, Psi = _block_polish(q_apply, q_solve, a, Psi)
+            failure = _residual_failure(q_apply, a, lam[:k], Psi[:, :k], residual_tol)
+        if failure is not None:
+            raise NumericalError(failure)
+        # a sign flip negates the residual exactly, so the check holds
+        return lam[:k], canonical_signs(Psi[:, :k])
 
 
-def _verified(q_apply, a, lam, Psi, residual_tol):
-    """Return (lam, Psi) after the residual check of ``smallest_eigenpairs``."""
+# shift-invert subspace steps tried on a block whose residual check fails
+_POLISH_ROUNDS = 3
+
+
+def _block_polish(q_apply, q_solve, a, Psi):
+    """One shift-invert subspace step on the block Psi, then Rayleigh-Ritz.
+
+    Returns the Ritz values ascending and A-orthonormal Ritz vectors of
+    the pencil (Q, A) on the span of ``q_solve(A Psi)``.
+    """
+    Y, _ = qr(q_solve(a[:, None] * Psi), mode="economic")
+    lam, C = eigh(Y.T @ q_apply(Y), Y.T @ (a[:, None] * Y))
+    return lam, Y @ C
+
+
+def _residual_failure(q_apply, a, lam, Psi, residual_tol):
+    """Message naming the worst pair over the residual bound, or None.
+
+    The bound is ``residual_tol * max(1, |lam|) * |A psi|`` per pair.
+    """
     residuals = q_apply(Psi) - (a[:, None] * Psi) * lam[None, :]
     res_norms = np.linalg.norm(residuals, axis=0)
     ref = residual_tol * np.maximum(1.0, np.abs(lam)) * np.linalg.norm(
         a[:, None] * Psi, axis=0
     )
-    if np.any(res_norms > ref):
-        worst = int(np.argmax(res_norms - ref))
-        raise NumericalError(
-            f"eigenpair {worst} failed the residual check: "
-            f"{res_norms[worst]:.3e} > {ref[worst]:.3e}"
-        )
+    if not np.any(res_norms > ref):
+        return None
+    worst = int(np.argmax(res_norms - ref))
+    return (
+        f"eigenpair {worst} failed the residual check: "
+        f"{res_norms[worst]:.3e} > {ref[worst]:.3e}"
+    )
+
+
+def _verified(q_apply, a, lam, Psi, residual_tol):
+    """Return (lam, Psi) after the residual check of ``smallest_eigenpairs``."""
+    failure = _residual_failure(q_apply, a, lam, Psi, residual_tol)
+    if failure is not None:
+        raise NumericalError(failure)
     return lam, Psi
 
 

@@ -122,6 +122,18 @@ class TestMh:
         assert code == 0
         assert (out / "run7_mh_basis.txt").exists()
 
+    def test_disconnected_mesh_with_the_default_shift(self, capsys, tmp_path):
+        one, two = grid_mesh(20, 20), grid_mesh(20, 20, origin=(3.0, 0.0))
+        path = tmp_path / "two_grids.off"
+        write_off((np.vstack([one.vertices, two.vertices]),
+                   np.vstack([one.faces, two.faces + one.n_vertices])), path)
+        code, summary = run_json(capsys, [
+            "mh", "--mesh", str(path), "--k", "3", "--out-dir", str(tmp_path),
+        ])
+        assert code == 0
+        assert abs(summary["lambda_first"]) <= 1e-10
+        assert summary["lambda_last"] > 9.0
+
 
 class TestRegionCommand:
     def test_box_region_is_binary(self, capsys, mesh_file, tmp_path):

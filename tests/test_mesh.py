@@ -113,6 +113,19 @@ class TestLoadMesh:
         with pytest.raises(MeshError, match="vertex 1 is not referenced"):
             load_mesh(bad, "OFF")
 
+    def test_edges_match_row_unique(self, corpus):
+        # the 1-D key path against np.unique over (i, j) rows
+        for name, mesh in corpus:
+            f = mesh.faces
+            pairs = np.sort(np.vstack([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]]), axis=1)
+            uniq, counts = np.unique(pairs, axis=0, return_counts=True)
+            np.testing.assert_array_equal(mesh.edges, uniq, err_msg=name)
+            np.testing.assert_array_equal(mesh.interior_edges, uniq[counts == 2],
+                                          err_msg=name)
+            np.testing.assert_array_equal(mesh.boundary_edges, uniq[counts == 1],
+                                          err_msg=name)
+            assert mesh.edges.dtype == uniq.dtype, name
+
     def test_edge_partition_covers_all_edges(self, plane):
         n_distinct = len(plane.edges)
         assert len(plane.interior_edges) + len(plane.boundary_edges) == n_distinct

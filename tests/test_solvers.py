@@ -205,6 +205,43 @@ class TestShiftedSolveProperties:
                 energy_terms(W, A, region, None, np.ones(121))
 
 
+class TestOneLuSolvePerStep:
+    def test_relaxed_inner_solves_take_one_lu_solve(self, monkeypatch):
+        # one Woodbury step on a bare LU solve already has a roundoff-level
+        # backward error, so the refinement loop adds no second step
+        mesh = grid_mesh(30, 30, width=10.0, height=10.0)
+        xy = mesh.vertices[:, :2]
+        inside = np.flatnonzero(np.all((xy >= 2.5) & (xy <= 7.5), axis=1))
+        phi = compute_mh(mesh, 11).functions[:, :10]
+        counts = {"lu": 0, "inner": 0}
+
+        class CountingLU:
+            def __init__(self, lu):
+                self._lu = lu
+
+            def solve(self, rhs):
+                counts["lu"] += 1
+                return self._lu.solve(rhs)
+
+            def __getattr__(self, name):
+                return getattr(self._lu, name)
+
+        real_splu = solvers.splu
+        real_solve_shifted = LowRankShiftedSystem.solve_shifted
+
+        def counting_solve_shifted(self, rhs, **kwargs):
+            counts["inner"] += 1
+            return real_solve_shifted(self, rhs, **kwargs)
+
+        monkeypatch.setattr(solvers, "splu", lambda Z: CountingLU(real_splu(Z)))
+        monkeypatch.setattr(LowRankShiftedSystem, "solve_shifted",
+                            counting_solve_shifted)
+        compute_lmh(mesh, Region.binary(mesh.n_vertices, inside), 20, 10,
+                    mu_r=100.0, mu_perp=1e5, phi=phi)
+        assert counts["inner"] > 0
+        assert counts["lu"] <= 1.05 * counts["inner"], counts
+
+
 class TestSmallestEigenpairs:
     def test_closed_mesh_null_mode(self, sphere):
         basis = compute_mh(sphere, 4)
