@@ -3,102 +3,35 @@
 Cotangent FEM operators, manifold harmonics and their localized
 variants, spectral surface reconstruction, and functional-map
 correspondence, with a file-based command line around them.
+
+The package root exports the entry points the README documents and the
+two errors they raise; everything else is reached through its submodule
+(``lmh.mesh``, ``lmh.fem``, ``lmh.solvers``, ``lmh.localized``,
+``lmh.spectral``, ``lmh.fmap``, ``lmh.synth``, ``lmh.io``).
 """
 
-from .fem import assemble_mass, assemble_stiffness, energy_terms
-from .fmap import (
-    FunctionalMap,
-    build_fmap,
-    geodesic_error_stats,
-    offblock_energy,
-    recover_p2p,
-    stack_bases,
-)
 from .localized import (
     Region,
-    SpectralBasis,
-    build_lmh_operator,
     compute_lmh,
     compute_mh,
     compute_pmh,
-    extract_submesh,
-    region_energy_fraction,
-    restrict_pencil,
-    soft_region_from_seeds,
     verify_spectral_gap,
     verify_upper_bound,
     weyl_slope,
 )
-from .mesh import (
-    MeshError,
-    TriMesh,
-    graph_geodesics,
-    intrinsic_diameter,
-    load_mesh,
-    read_mesh,
-    surface_area,
-    triangle_areas,
-    write_off,
-)
-from .solvers import (
-    LowRankShiftedSystem,
-    NumericalError,
-    dense_oracle_eig,
-    factorize,
-    hard_constraint_eig,
-    smallest_eigenpairs,
-    woodbury_solve,
-)
-from .spectral import (
-    analyze,
-    reconstruct_surface,
-    reconstruction_error,
-    synthesize,
-)
+from .mesh import MeshError
+from .solvers import NumericalError
 
 __version__ = "0.1.0"
 
 __all__ = [
     "MeshError",
     "NumericalError",
-    "TriMesh",
     "Region",
-    "SpectralBasis",
-    "FunctionalMap",
-    "LowRankShiftedSystem",
-    "analyze",
-    "assemble_mass",
-    "assemble_stiffness",
-    "build_fmap",
-    "build_lmh_operator",
     "compute_lmh",
     "compute_mh",
     "compute_pmh",
-    "dense_oracle_eig",
-    "energy_terms",
-    "extract_submesh",
-    "factorize",
-    "geodesic_error_stats",
-    "graph_geodesics",
-    "hard_constraint_eig",
-    "intrinsic_diameter",
-    "load_mesh",
-    "offblock_energy",
-    "read_mesh",
-    "reconstruct_surface",
-    "reconstruction_error",
-    "recover_p2p",
-    "region_energy_fraction",
-    "restrict_pencil",
-    "smallest_eigenpairs",
-    "soft_region_from_seeds",
-    "stack_bases",
-    "surface_area",
-    "synthesize",
-    "triangle_areas",
     "verify_spectral_gap",
     "verify_upper_bound",
     "weyl_slope",
-    "woodbury_solve",
-    "write_off",
 ]

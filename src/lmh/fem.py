@@ -109,36 +109,3 @@ def penalty_weights(region, n):
     if region is None:
         return np.zeros(n)
     return (1.0 - membership(region, n)) ** 2
-
-
-def energy_terms(W, A, region, phi, f):
-    """Dirichlet, region-penalty and subspace-overlap energies of f.
-
-    Parameters
-    ----------
-    W, A : sparse arrays
-        Stiffness and lumped mass.
-    region : Region or array_like or None
-        Membership values u; the penalty weight is v = (1 - u)^2.
-        None means v = 0 everywhere.
-    phi : ndarray of shape (n, k') or None
-        A-orthonormal functions spanning the subspace to avoid.
-    f : ndarray of shape (n,)
-
-    Returns
-    -------
-    (float, float, float)
-        ``(f W f, f A diag(v) f, sum_i (phi_i A f)^2)``.
-    """
-    f = np.asarray(f, dtype=np.float64)
-    a = mass_diagonal(A)
-    e_dirichlet = float(f @ (W @ f))
-    if region is None:
-        e_region = 0.0
-    else:
-        e_region = float(f @ (a * penalty_weights(region, a.size) * f))
-    if phi is None or phi.size == 0:
-        e_perp = 0.0
-    else:
-        e_perp = float(np.sum((phi.T @ (a * f)) ** 2))
-    return e_dirichlet, e_region, e_perp

@@ -111,15 +111,6 @@ def save_curve(thresholds, fractions, path):
     _savetxt(path, data, delimiter=",", header="threshold,fraction", comments="")
 
 
-def load_curve(path):
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    return data[:, 0], data[:, 1]
-
-
 def save_scalar_field(values, path):
     """One per-vertex value per line."""
     _savetxt(path, np.asarray(values, dtype=np.float64))
-
-
-def load_scalar_field(path):
-    return np.loadtxt(path, dtype=np.float64, ndmin=1)

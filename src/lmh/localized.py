@@ -71,7 +71,11 @@ class Region:
 
     @classmethod
     def binary(cls, n, inside):
-        """Binary region from a vertex index set or boolean mask."""
+        """Binary region from a vertex index set or boolean mask.
+
+        Raises ValueError for a mask whose length is not n and for an
+        index that is not an integer in ``[0, n)``.
+        """
         inside = np.asarray(inside)
         u = np.zeros(n)
         if inside.dtype == bool:
@@ -79,7 +83,15 @@ class Region:
                 raise ValueError("boolean mask length must match vertex count")
             u[inside] = 1.0
         else:
-            u[inside.astype(np.int64)] = 1.0
+            idx = inside.ravel()
+            x = idx.astype(np.float64)
+            bad = ~((x >= 0) & (x < n) & (x == np.floor(x)))
+            if bad.any():
+                raise ValueError(
+                    f"vertex index {idx[np.argmax(bad)]} is not an integer "
+                    f"in [0, {n})"
+                )
+            u[idx.astype(np.int64)] = 1.0
         return cls(u)
 
     @classmethod
@@ -171,12 +183,9 @@ def compute_mh(mesh, k, seed=0, W=None, A=None, sigma=None):
         raise ValueError(f"k must be in [1, {n}], got {k}")
     if sigma is None:
         sigma = default_shift(W)
-    a = mass_diagonal(A)
-    system = LowRankShiftedSystem(
-        W - sparse.diags_array(sigma * a), None, 0.0, A
-    )
+    system, q_apply = build_lmh_operator(W, A, None, None, 0.0, 0.0, sigma)
     lam, Psi = smallest_eigenpairs(
-        lambda x: W @ x, system.solve_shifted, A, k, sigma, seed=seed
+        q_apply, system.solve_shifted, A, k, sigma, seed=seed
     )
     return SpectralBasis(
         functions=Psi,

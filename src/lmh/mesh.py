@@ -109,10 +109,6 @@ class TriMesh:
         """All unique undirected edges as sorted (k, 2) vertex pairs."""
         return self._edges
 
-    def is_closed(self):
-        """True when the mesh has no boundary edges."""
-        return self.boundary_edges.shape[0] == 0
-
     def __repr__(self):
         return f"TriMesh({self.n_vertices} vertices, {self.n_faces} faces)"
 

@@ -1,16 +1,17 @@
 """Sparse factorization, low-rank shifted solves and eigensolvers.
 
 The fast path solves the generalized problem Q psi = lam A psi with
-shift-invert Lanczos (ARPACK), where every inner solve against
-``Q - sigma A = Z + mu_perp B B^T`` goes through a Woodbury identity:
-factorize the sparse part Z once, then correct with a dense rank-k'
-system. No n-by-n dense intermediate is formed on this path. Each
-inner solve costs one LU solve as a rule: a single refinement loop on
-the full system (``_refine``) stops once the normwise backward error is
-at roundoff level, which the first Woodbury step usually reaches. When
-the Ritz pairs ARPACK returns miss the residual check, a few
-shift-invert block steps with Rayleigh-Ritz repair them before the
-check is final.
+shift-invert Lanczos (ARPACK). Every sparse solve goes through one
+object, ``LowRankShiftedSystem``, which represents
+``Q - sigma A = Z + mu_perp B B^T`` (mu_perp = 0 for the global
+harmonics): it holds the checked sparse LU of Z from ``factorize`` and
+corrects it with a dense rank-k' Woodbury system. No n-by-n dense
+intermediate is formed on this path. Each inner solve costs one LU
+solve as a rule: the refinement loop on the full system (``_refine``)
+stops once the normwise backward error is at roundoff level, which the
+first Woodbury step usually reaches. When the Ritz pairs ARPACK returns
+miss the residual check, a few shift-invert block steps with
+Rayleigh-Ritz repair them before the check is final.
 
 Two dense routes exist for cross-checking and for exact constraints:
 ``dense_oracle_eig`` whitens the pencil and calls LAPACK, and
@@ -146,15 +147,18 @@ def _refine(apply, step, rhs, rtol, max_refine, norm_bound):
     return best
 
 
-class Factorization:
-    """Sparse LU of a symmetric positive (semi-)definite matrix.
+# pivots this far below the largest one are indistinguishable from an
+# exact zero at float64 precision
+_SINGULAR_PIVOT_RATIO = 1e-13
 
-    ``solve`` polishes with iterative refinement (``_refine`` owns the
-    policy, here and in ``LowRankShiftedSystem.solve_shifted``): it
-    stops at a 1e-12 relative residual or once the normwise backward
-    error is at roundoff level, measured against the cached bound
-    ``norm_bound`` = ||Z||_1, whichever comes first. ``lu_solve`` is the
-    bare triangular solve.
+
+def factorize(Z):
+    """Sparse LU (``splu``) of a symmetric positive (semi-)definite matrix.
+
+    Returns
+    -------
+    scipy.sparse.linalg.SuperLU
+        Its ``solve`` is one LU solve, without refinement.
 
     Raises
     ------
@@ -165,62 +169,31 @@ class Factorization:
     ValueError
         If the matrix is not symmetric or has a non-positive diagonal.
     """
-
-    # pivots this far below the largest one are indistinguishable from
-    # an exact zero at float64 precision
-    _SINGULAR_PIVOT_RATIO = 1e-13
-
-    def __init__(self, Z):
-        Z = sparse.csr_array(Z)
-        asym = abs(Z - Z.T)
-        scale = max(abs(Z).max(), 1.0)
-        if asym.nnz and asym.max() > 1e-10 * scale:
-            raise ValueError("factorize expects a symmetric matrix")
-        if Z.diagonal().min() <= 0.0:
-            raise ValueError(
-                "factorize expects a positive diagonal; "
-                "shift the matrix by a small multiple of the mass first"
-            )
-        self._Z = Z
-        try:
-            self._lu = splu(Z.tocsc())
-        except RuntimeError as exc:
-            raise NumericalError(
-                "matrix is numerically singular; apply a small negative "
-                "shift sigma (Z - sigma*A with sigma < 0) and refactorize"
-            ) from exc
-        pivots = np.abs(self._lu.U.diagonal())
-        if pivots.min() <= self._SINGULAR_PIVOT_RATIO * pivots.max():
-            raise NumericalError(
-                "matrix is numerically singular (zero pivot); apply a small "
-                "negative shift sigma (Z - sigma*A with sigma < 0) and "
-                "refactorize"
-            )
-
-    @property
-    def shape(self):
-        return self._Z.shape
-
-    @functools.cached_property
-    def norm_bound(self):
-        """||Z||_1, the largest absolute column sum; bounds ||Z||_2 (Z = Z^T)."""
-        return float(abs(self._Z).sum(axis=0).max())
-
-    def lu_solve(self, rhs):
-        """One LU solve of Z x = rhs, without refinement."""
-        return self._lu.solve(rhs)
-
-    def solve(self, rhs, rtol=1e-12, max_refine=3):
-        """Solve Z x = rhs (rhs may be a vector or a matrix of columns)."""
-        return _refine(
-            lambda x: self._Z @ x, self.lu_solve, rhs, rtol, max_refine,
-            self.norm_bound,
+    Z = sparse.csr_array(Z)
+    asym = abs(Z - Z.T)
+    scale = max(abs(Z).max(), 1.0)
+    if asym.nnz and asym.max() > 1e-10 * scale:
+        raise ValueError("factorize expects a symmetric matrix")
+    if Z.diagonal().min() <= 0.0:
+        raise ValueError(
+            "factorize expects a positive diagonal; "
+            "shift the matrix by a small multiple of the mass first"
         )
-
-
-def factorize(Z):
-    """Factorize a sparse symmetric positive (semi-)definite matrix."""
-    return Factorization(Z)
+    try:
+        lu = splu(Z.tocsc())
+    except RuntimeError as exc:
+        raise NumericalError(
+            "matrix is numerically singular; apply a small negative "
+            "shift sigma (Z - sigma*A with sigma < 0) and refactorize"
+        ) from exc
+    pivots = np.abs(lu.U.diagonal())
+    if pivots.min() <= _SINGULAR_PIVOT_RATIO * pivots.max():
+        raise NumericalError(
+            "matrix is numerically singular (zero pivot); apply a small "
+            "negative shift sigma (Z - sigma*A with sigma < 0) and "
+            "refactorize"
+        )
+    return lu
 
 
 class LowRankShiftedSystem:
@@ -240,15 +213,16 @@ class LowRankShiftedSystem:
 
     Notes
     -----
-    The correction block ``Gamma = Z^{-1} (mu_perp B)`` (a refined
-    solve) and the LU of the k'-by-k' matrix ``I + B^T Gamma`` are
-    computed once at first solve and reused for every subsequent
-    right-hand side. A Woodbury step costs one bare LU solve of Z; the
-    refinement loop of ``solve_shifted`` around it, on the full system,
-    is the only one, and stops at a 1e-12 relative residual or at the
-    backward-error floor measured against the cached bound
-    ``norm_bound`` = ||Z||_1 + mu_perp ||B||_2^2. One step usually
-    reaches that floor.
+    Z is factorized once, at construction, by ``factorize``. The
+    correction block ``Gamma = Z^{-1} (mu_perp B)`` and the LU of the
+    k'-by-k' matrix ``I + B^T Gamma`` are computed once at first solve
+    and reused for every subsequent right-hand side; Gamma is refined
+    against Z (``_refine``, at most 3 steps, bound ||Z||_1). A Woodbury
+    step costs one bare LU solve of Z; the refinement loop of
+    ``solve_shifted`` around it, on the full system, stops at a 1e-12
+    relative residual or at the backward-error floor measured against
+    the cached bound ``norm_bound`` = ||Z||_1 + mu_perp ||B||_2^2. One
+    step usually reaches that floor.
     """
 
     def __init__(self, Z, B, mu_perp, mass):
@@ -259,23 +233,24 @@ class LowRankShiftedSystem:
             raise ValueError("B must be an (n, k') array")
         self.mu_perp = float(mu_perp)
         self.mass = mass_diagonal(mass)
-        self.factorization = factorize(Z)
+        self._lu = factorize(self.Z)
         self._gamma = None
         self._inner_lu = None
-
-    @property
-    def shape(self):
-        return self.Z.shape
 
     @property
     def rank(self):
         return self.B.shape[1]
 
     @functools.cached_property
+    def _z_norm(self):
+        """||Z||_1, the largest absolute column sum; bounds ||Z||_2 (Z = Z^T)."""
+        return float(abs(self.Z).sum(axis=0).max())
+
+    @functools.cached_property
     def norm_bound(self):
         """||Z||_1 + mu_perp ||B||_2^2, a bound on the system's 2-norm."""
         low_rank = self.mu_perp * np.linalg.norm(self.B, 2) ** 2 if self.rank else 0.0
-        return self.factorization.norm_bound + low_rank
+        return self._z_norm + low_rank
 
     def apply(self, x):
         """Apply ``Z + mu_perp B B^T`` to a vector or matrix of columns."""
@@ -285,12 +260,15 @@ class LowRankShiftedSystem:
         return y
 
     def _prepare(self):
-        self._gamma = self.factorization.solve(self.mu_perp * self.B)
+        self._gamma = _refine(
+            lambda x: self.Z @ x, self._lu.solve, self.mu_perp * self.B,
+            1e-12, 3, self._z_norm,
+        )
         inner = np.eye(self.rank) + self.B.T @ self._gamma
         self._inner_lu = lu_factor(inner)
 
     def _woodbury_step(self, rhs):
-        xi = self.factorization.lu_solve(rhs)
+        xi = self._lu.solve(rhs)
         if self.rank == 0 or self.mu_perp == 0.0:
             return xi
         if self._gamma is None:
@@ -418,7 +396,8 @@ def smallest_eigenpairs(
     passes, the whole block of Ritz vectors takes one shift-invert
     subspace step (``q_solve`` of ``A Psi``), is orthonormalized and
     goes through a Rayleigh-Ritz step with Q and A. A run whose check
-    passes at once returns ARPACK's pairs unchanged.
+    passes at once returns ARPACK's pairs unchanged. The dense fallback
+    for ``k > n - 2`` takes the same check without the polish.
     """
     a = mass_diagonal(A)
     n = a.size
@@ -432,33 +411,35 @@ def smallest_eigenpairs(
                 f"k={k} too close to n={n} for the iterative path and n "
                 f"exceeds the dense guard {DENSE_ORACLE_MAX_N}"
             )
-        vals, vecs = dense_oracle_eig(q_apply(np.eye(n)), a)
-        return _verified(q_apply, a, vals[:k], vecs[:, :k], residual_tol)
-
-    # a restart can purge one copy of a degenerate pair sitting exactly
-    # on the window edge; computing a few pairs past k and truncating
-    # moves the edge off the requested window
-    k_solve = min(k + 6, n - 2)
-    ncv = min(n, max(2 * k_solve + 10, k_solve + 2))
-    v0 = np.random.default_rng(seed).uniform(-1.0, 1.0, n)
-    A_op = sparse.csr_array(sparse.diags_array(a))
-    Q_op = LinearOperator((n, n), matvec=q_apply, dtype=np.float64)
-    OPinv = LinearOperator((n, n), matvec=q_solve, dtype=np.float64)
-    with _serial_blas():
-        try:
-            lam, Psi = eigsh(
-                Q_op, k=k_solve, M=A_op, sigma=sigma, OPinv=OPinv,
-                which="LM", v0=v0, ncv=ncv, tol=tol,
-            )
-        except ArpackNoConvergence as exc:
-            raise NumericalError(
-                f"eigensolver did not converge for k={k} (sigma={sigma}); "
-                "try a different shift or a larger subspace"
-            ) from exc
+        lam, Psi = dense_oracle_eig(q_apply(np.eye(n)), a)
+        polish_rounds = 0
+    else:
+        # a restart can purge one copy of a degenerate pair sitting
+        # exactly on the window edge; computing a few pairs past k and
+        # truncating moves the edge off the requested window
+        k_solve = min(k + 6, n - 2)
+        ncv = min(n, max(2 * k_solve + 10, k_solve + 2))
+        v0 = np.random.default_rng(seed).uniform(-1.0, 1.0, n)
+        A_op = sparse.csr_array(sparse.diags_array(a))
+        Q_op = LinearOperator((n, n), matvec=q_apply, dtype=np.float64)
+        OPinv = LinearOperator((n, n), matvec=q_solve, dtype=np.float64)
+        with _serial_blas():
+            try:
+                lam, Psi = eigsh(
+                    Q_op, k=k_solve, M=A_op, sigma=sigma, OPinv=OPinv,
+                    which="LM", v0=v0, ncv=ncv, tol=tol,
+                )
+            except ArpackNoConvergence as exc:
+                raise NumericalError(
+                    f"eigensolver did not converge for k={k} (sigma={sigma}); "
+                    "try a different shift or a larger subspace"
+                ) from exc
         order = np.argsort(lam)
         lam, Psi = lam[order], Psi[:, order]
+        polish_rounds = _POLISH_ROUNDS
+    with _serial_blas():
         failure = _residual_failure(q_apply, a, lam[:k], Psi[:, :k], residual_tol)
-        for _ in range(_POLISH_ROUNDS):
+        for _ in range(polish_rounds):
             if failure is None:
                 break
             lam, Psi = _block_polish(q_apply, q_solve, a, Psi)
@@ -501,14 +482,6 @@ def _residual_failure(q_apply, a, lam, Psi, residual_tol):
         f"eigenpair {worst} failed the residual check: "
         f"{res_norms[worst]:.3e} > {ref[worst]:.3e}"
     )
-
-
-def _verified(q_apply, a, lam, Psi, residual_tol):
-    """Return (lam, Psi) after the residual check of ``smallest_eigenpairs``."""
-    failure = _residual_failure(q_apply, a, lam, Psi, residual_tol)
-    if failure is not None:
-        raise NumericalError(failure)
-    return lam, Psi
 
 
 def _compact_wy(h, tau):

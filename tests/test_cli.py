@@ -1,7 +1,9 @@
-"""End-to-end runs of every subcommand plus exit-code contracts."""
+"""End-to-end runs of every subcommand plus exit-code contracts, and the
+package-root names the README documents."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -79,6 +81,16 @@ def make_region(capsys, mesh_file, out_dir, box=("0.0", "0.5", "0.0", "0.5")):
     ])
     assert code == 0
     return summary["region_file"]
+
+
+def test_package_root_exports_the_readme_names():
+    for name in lmh.__all__:
+        assert getattr(lmh, name) is not None, name
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    lines = re.findall(r"^from lmh import (.+)$", readme, flags=re.MULTILINE)
+    assert lines, "README has no `from lmh import ...` line"
+    names = {name.strip() for line in lines for name in line.split(",")}
+    assert names <= set(lmh.__all__), names - set(lmh.__all__)
 
 
 class TestMh:
@@ -401,7 +413,7 @@ class TestReconstruct:
         assert code == 0
         rec = read_mesh(summary["mesh_file"])
         assert rec.n_vertices == 121
-        errs = lmhio.load_scalar_field(summary["error_file"])
+        errs = np.loadtxt(summary["error_file"], ndmin=1)
         assert errs.shape == (121,)
         assert summary["mean_error"] == pytest.approx(errs.mean())
         assert summary["max_error"] >= summary["mean_error"]
@@ -456,9 +468,10 @@ class TestCorrespondenceChain:
         assert code == 0
         assert curve_summary["mean_error"] == 0.0
         assert curve_summary["exact_fraction"] == 1.0
-        thresholds, fractions = lmhio.load_curve(curve_summary["curve_file"])
-        assert thresholds.shape == (100,)
-        np.testing.assert_array_equal(fractions, 1.0)
+        curve = np.loadtxt(curve_summary["curve_file"], delimiter=",",
+                           skiprows=1, ndmin=2)
+        assert curve.shape == (100, 2)
+        np.testing.assert_array_equal(curve[:, 1], 1.0)
 
     def test_fmap_offblock_report(self, capsys, mesh_file, tmp_path):
         code, mh_summary = run_json(capsys, [

@@ -1,4 +1,4 @@
-"""Cotangent stiffness, lumped mass, energy terms.
+"""Cotangent stiffness and lumped mass.
 
 Sign convention under test: W is positive semi-definite with
 f^T W f equal to the Dirichlet energy of the piecewise-linear
@@ -12,10 +12,9 @@ from scipy.spatial.transform import Rotation
 from lmh.fem import (
     assemble_mass,
     assemble_stiffness,
-    energy_terms,
     mass_diagonal,
 )
-from lmh.localized import Region, compute_mh
+from lmh.localized import compute_mh
 from lmh.mesh import MeshError, TriMesh, surface_area
 from lmh.synth import grid_mesh, single_triangle, tetrahedron
 
@@ -128,30 +127,3 @@ def test_refinement_converges_to_pi_squared():
         errs.append(abs(basis.spectrum[1] - pi2))
     assert errs[0] > errs[1] > errs[2]
     assert errs[2] / pi2 < 0.01
-
-
-class TestEnergyTerms:
-    def test_constant_has_zero_dirichlet(self, plane_ops, plane_patch):
-        W, A = plane_ops
-        f = np.full(W.shape[0], 3.7)
-        e_s, _, _ = energy_terms(W, A, plane_patch, None, f)
-        assert e_s == pytest.approx(0.0, abs=1e-10)
-
-    def test_supported_inside_region_no_penalty(self, plane, plane_ops, plane_patch):
-        W, A = plane_ops
-        f = np.zeros(plane.n_vertices)
-        f[plane_patch.inside] = 1.0  # v = 0 exactly where f lives
-        _, e_r, _ = energy_terms(W, A, plane_patch, None, f)
-        assert e_r == 0.0
-
-    def test_first_harmonic_has_unit_orthogonality_energy(self, plane, plane_ops):
-        W, A = plane_ops
-        phi = compute_mh(plane, 3, W=W, A=A).functions
-        _, _, e_perp = energy_terms(W, A, None, phi, phi[:, 0])
-        assert e_perp == pytest.approx(1.0, rel=1e-10)
-
-    def test_dimension_mismatch(self, plane_ops):
-        W, A = plane_ops
-        with pytest.raises(ValueError):
-            energy_terms(W, A, None, None, np.ones(7))
-

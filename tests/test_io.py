@@ -90,9 +90,9 @@ class TestCurveFile:
         f = np.minimum(1.0, t * 3.0)
         path = tmp_path / "curve.csv"
         lmhio.save_curve(t, f, path)
-        t2, f2 = lmhio.load_curve(path)
-        np.testing.assert_array_equal(t2, t)
-        np.testing.assert_array_equal(f2, f)
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        np.testing.assert_array_equal(data[:, 0], t)
+        np.testing.assert_array_equal(data[:, 1], f)
         assert path.read_text().splitlines()[0] == "threshold,fraction"
 
 
@@ -101,7 +101,7 @@ class TestScalarFieldFile:
         x = rng.standard_normal(11)
         path = tmp_path / "f.txt"
         lmhio.save_scalar_field(x, path)
-        np.testing.assert_array_equal(lmhio.load_scalar_field(path), x)
+        np.testing.assert_array_equal(np.loadtxt(path, ndmin=1), x)
 
 
 class TestExactBytes:

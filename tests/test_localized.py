@@ -48,6 +48,15 @@ class TestRegion:
         with pytest.raises(ValueError):
             Region.binary(4, mask)
 
+    def test_binary_empty_index_list(self):
+        r = Region.binary(4, [])
+        assert r.is_binary and r.inside.size == 0
+
+    @pytest.mark.parametrize("index", [-1, 5, 7, 1.7, np.nan])
+    def test_binary_rejects_bad_index(self, index):
+        with pytest.raises(ValueError, match=f"vertex index {index} "):
+            Region.binary(5, [0, index])
+
     def test_full(self):
         r = Region.full(6)
         assert r.is_binary and len(r) == 6 and r.inside.size == 6

@@ -68,7 +68,6 @@ class TestLoadMesh:
         assert mesh.n_faces == 4
         assert len(mesh.interior_edges) == 6
         assert len(mesh.boundary_edges) == 0
-        assert mesh.is_closed
 
     def test_off_single_triangle_all_boundary(self):
         mesh = load_mesh(OFF_TRIANGLE, "OFF")
