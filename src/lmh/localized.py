@@ -3,13 +3,18 @@
 Builds the modified operator ``Q = W + mu_r A diag(v) + mu_perp A P``
 whose smallest generalized eigenpairs concentrate on a chosen region
 while staying A-orthogonal to the first k' global harmonics (P is the
-A-orthogonal projector onto their span). Three solver paths exist:
+A-orthogonal projector onto their span). ``build_lmh_operator`` is the
+one place that turns a region and the weights into matrices; every
+solver path starts from the system it returns:
 
 * ``relaxed`` - sparse shift-invert Lanczos with Woodbury inner solves
   (the fast path; the projector is never densified),
-* ``hard`` - dense solve on the orthogonal complement with the
-  constraint enforced exactly,
+* ``hard`` - dense solve of the unshifted penalized matrix on the
+  orthogonal complement, with the constraint enforced exactly,
 * ``oracle`` - dense solve of the relaxed operator, for cross-checks.
+
+The system factorizes its sparse part at its first solve, so only the
+``relaxed`` path runs a sparse LU.
 """
 
 from __future__ import annotations
@@ -56,18 +61,8 @@ class Region:
         self.u.setflags(write=False)
 
     @property
-    def v(self):
-        """Penalty weights (1 - u)^2."""
-        return penalty_weights(self, self.u.size)
-
-    @property
     def is_binary(self):
         return bool(np.all((self.u == 0.0) | (self.u == 1.0)))
-
-    @property
-    def inside(self):
-        """Indices of vertices with full membership (u == 1)."""
-        return np.flatnonzero(self.u == 1.0)
 
     @classmethod
     def binary(cls, n, inside):
@@ -93,10 +88,6 @@ class Region:
                 )
             u[idx.astype(np.int64)] = 1.0
         return cls(u)
-
-    @classmethod
-    def full(cls, n):
-        return cls(np.ones(n))
 
     def __len__(self):
         return self.u.size
@@ -184,9 +175,7 @@ def compute_mh(mesh, k, seed=0, W=None, A=None, sigma=None):
     if sigma is None:
         sigma = default_shift(W)
     system, q_apply = build_lmh_operator(W, A, None, None, 0.0, 0.0, sigma)
-    lam, Psi = smallest_eigenpairs(
-        q_apply, system.solve_shifted, A, k, sigma, seed=seed
-    )
+    lam, Psi = smallest_eigenpairs(q_apply, system, k, sigma, seed=seed)
     return SpectralBasis(
         functions=Psi,
         spectrum=lam,
@@ -209,28 +198,23 @@ def build_lmh_operator(W, A, region, phi, mu_r, mu_perp, sigma=0.0):
     mu_r, mu_perp : float
         Non-negative penalty weights.
     sigma : float
-        Shift applied to the sparse part (for shift-invert solves).
+        Shift applied to the sparse part (for shift-invert solves). At
+        sigma = 0 the sparse part is exactly ``W + mu_r A diag(v)``.
 
     Returns
     -------
     (LowRankShiftedSystem, callable)
         The shifted system ``W + mu_r A diag(v) - sigma A  (+ low-rank
-        part)`` and a closure applying the unshifted operator Q.
+        part)`` and a closure applying the unshifted operator Q. No
+        factorization happens here: the system computes its sparse LU
+        at its first solve.
 
     Raises
     ------
     ValueError
-        If phi is not A-orthonormal within 1e-6 or a weight is negative.
-    """
-    a, penalty, B, q_apply = _lmh_apply(W, A, region, phi, mu_r, mu_perp)
-    Z = W + sparse.diags_array(penalty - sigma * a)
-    return LowRankShiftedSystem(Z.tocsr(), B, mu_perp, A), q_apply
-
-
-def _lmh_apply(W, A, region, phi, mu_r, mu_perp):
-    """Checked parts of Q: ``(a, mu_r a v, A phi, q_apply)``, no factorization.
-
-    Raises the ``ValueError`` of ``build_lmh_operator`` on bad input.
+        If a weight is negative, the region length or the phi row count
+        does not match the vertex count, or phi is not A-orthonormal
+        within 1e-6.
     """
     if mu_r < 0.0 or mu_perp < 0.0:
         raise ValueError("penalty weights must be non-negative")
@@ -257,7 +241,8 @@ def _lmh_apply(W, A, region, phi, mu_r, mu_perp):
             y = y + mu_perp * (B @ (B.T @ x))
         return y
 
-    return a, penalty, B, q_apply
+    Z = W + sparse.diags_array(penalty - sigma * a)
+    return LowRankShiftedSystem(Z.tocsr(), B, mu_perp, A), q_apply
 
 
 def default_mu_perp(lam_next):
@@ -294,8 +279,9 @@ def compute_lmh(
         Localization weight.
     mu_perp : float, optional
         Orthogonality weight. Default: ``max(1e5, 10 * lam_{k'+1}(W))``
-        when the global harmonics are computed here, else 1e5. A warning
-        is issued when an explicit value sits below ``lam_{k'+1}(W)``.
+        when the global harmonics are computed here, else 1e5 (also for
+        k' = 0, which computes none). A warning is issued when an
+        explicit value sits below ``lam_{k'+1}(W)``.
     phi : ndarray, optional
         Precomputed A-orthonormal global harmonics (n, kprime).
     solver : {"relaxed", "hard", "oracle"}
@@ -332,7 +318,10 @@ def compute_lmh(
         )
 
     lam_next = None
-    if phi is None:
+    if phi is None and kprime == 0:
+        # an empty phi never uses the mu_perp a global solve would set
+        phi = np.zeros((n, 0))
+    elif phi is None:
         mh = compute_mh(mesh, kprime + 1, seed=seed, W=W, A=A, sigma=sigma)
         phi = mh.functions[:, :kprime]
         lam_next = float(mh.spectrum[kprime])
@@ -352,20 +341,20 @@ def compute_lmh(
     if sigma is None:
         sigma = default_shift(W)
 
+    # hard takes the unshifted penalized matrix; no path but relaxed
+    # solves with the system, so no other path factorizes
+    system, q_apply = build_lmh_operator(
+        W, A, region, phi, mu_r, mu_perp, 0.0 if solver == "hard" else sigma
+    )
     if solver == "hard":
-        lam, Psi = hard_constraint_eig(W, A, region, phi, mu_r, k)
+        lam, Psi = hard_constraint_eig(system.Z, A, phi, k)
     elif solver == "relaxed":
-        system, q_apply = build_lmh_operator(W, A, region, phi, mu_r, mu_perp, sigma)
-        lam, Psi = smallest_eigenpairs(
-            q_apply, system.solve_shifted, A, k, sigma, seed=seed
-        )
+        lam, Psi = smallest_eigenpairs(q_apply, system, k, sigma, seed=seed)
     else:
         if n > DENSE_ORACLE_MAX_N:
             raise ValueError(
                 f"oracle path limited to {DENSE_ORACLE_MAX_N} vertices, got {n}"
             )
-        # the dense solve only applies Q; no sparse factorization
-        q_apply = _lmh_apply(W, A, region, phi, mu_r, mu_perp)[-1]
         vals, vecs = dense_oracle_eig(q_apply(np.eye(n)), A)
         lam, Psi = vals[:k], vecs[:, :k]
 
@@ -576,9 +565,7 @@ def verify_spectral_gap(
         )
     phi = mh.functions[:, :kprime]
     system, q_apply = build_lmh_operator(W, A, region, phi, mu_r, mu_perp, sigma)
-    lam1 = float(
-        smallest_eigenpairs(q_apply, system.solve_shifted, A, 1, sigma, seed=seed)[0][0]
-    )
+    lam1 = float(smallest_eigenpairs(q_apply, system, 1, sigma, seed=seed)[0][0])
     gap = lam1 - lam_kp
     threshold = -1e-6 * lam_kp - 1e-12 * max(1.0, lam_next)
     return GapReport(

@@ -4,8 +4,9 @@ The fast path solves the generalized problem Q psi = lam A psi with
 shift-invert Lanczos (ARPACK). Every sparse solve goes through one
 object, ``LowRankShiftedSystem``, which represents
 ``Q - sigma A = Z + mu_perp B B^T`` (mu_perp = 0 for the global
-harmonics): it holds the checked sparse LU of Z from ``factorize`` and
-corrects it with a dense rank-k' Woodbury system. No n-by-n dense
+harmonics): at its first solve it computes the checked sparse LU of Z
+(``factorize``) and corrects it with a dense rank-k' Woodbury system,
+so building a system costs no factorization. No n-by-n dense
 intermediate is formed on this path. Each inner solve costs one LU
 solve as a rule: the refinement loop on the full system (``_refine``)
 stops once the normwise backward error is at roundoff level, which the
@@ -15,7 +16,8 @@ Rayleigh-Ritz repair them before the check is final.
 
 Two dense routes exist for cross-checking and for exact constraints:
 ``dense_oracle_eig`` whitens the pencil and calls LAPACK, and
-``hard_constraint_eig`` restricts the whitened operator to the
+``hard_constraint_eig`` restricts the whitened penalized matrix (the
+sparse part of an unshifted system) to the
 A-orthogonal complement of a given subspace by a congruence with the
 compact Householder reflectors of that subspace's QR (a symmetric
 rank-2k' update), then solves the trailing block. It never forms the
@@ -41,7 +43,7 @@ from scipy import sparse
 from scipy.linalg import blas, eigh, lu_factor, lu_solve, qr
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
-from .fem import mass_diagonal, penalty_weights
+from .fem import mass_diagonal
 
 # size guards for the dense routes
 DENSE_ORACLE_MAX_N = 2000
@@ -151,6 +153,11 @@ def _refine(apply, step, rhs, rtol, max_refine, norm_bound):
 # exact zero at float64 precision
 _SINGULAR_PIVOT_RATIO = 1e-13
 
+# refinement of a shifted solve stops at this relative residual, after
+# at most this many corrections
+_SOLVE_RTOL = 1e-12
+_SOLVE_MAX_REFINE = 2
+
 
 def factorize(Z):
     """Sparse LU (``splu``) of a symmetric positive (semi-)definite matrix.
@@ -213,16 +220,17 @@ class LowRankShiftedSystem:
 
     Notes
     -----
-    Z is factorized once, at construction, by ``factorize``. The
-    correction block ``Gamma = Z^{-1} (mu_perp B)`` and the LU of the
-    k'-by-k' matrix ``I + B^T Gamma`` are computed once at first solve
-    and reused for every subsequent right-hand side; Gamma is refined
-    against Z (``_refine``, at most 3 steps, bound ||Z||_1). A Woodbury
-    step costs one bare LU solve of Z; the refinement loop of
-    ``solve_shifted`` around it, on the full system, stops at a 1e-12
-    relative residual or at the backward-error floor measured against
-    the cached bound ``norm_bound`` = ||Z||_1 + mu_perp ||B||_2^2. One
-    step usually reaches that floor.
+    Z is factorized once, at the first solve, by ``factorize``; a
+    singular, non-symmetric or non-positive-diagonal Z raises there.
+    The correction block ``Gamma = Z^{-1} (mu_perp B)`` and the LU of
+    the k'-by-k' matrix ``I + B^T Gamma`` are computed once at first
+    solve and reused for every subsequent right-hand side; Gamma is
+    refined against Z (``_refine``, at most 3 steps, bound ||Z||_1). A
+    Woodbury step costs one bare LU solve of Z; the refinement loop of
+    ``solve_shifted`` around it, on the full system, stops at a
+    ``_SOLVE_RTOL`` relative residual or at the backward-error floor
+    measured against the cached bound ``norm_bound`` = ||Z||_1 +
+    mu_perp ||B||_2^2. One step usually reaches that floor.
     """
 
     def __init__(self, Z, B, mu_perp, mass):
@@ -233,9 +241,6 @@ class LowRankShiftedSystem:
             raise ValueError("B must be an (n, k') array")
         self.mu_perp = float(mu_perp)
         self.mass = mass_diagonal(mass)
-        self._lu = factorize(self.Z)
-        self._gamma = None
-        self._inner_lu = None
 
     @property
     def rank(self):
@@ -259,27 +264,33 @@ class LowRankShiftedSystem:
             y = y + self.mu_perp * (self.B @ (self.B.T @ x))
         return y
 
-    def _prepare(self):
-        self._gamma = _refine(
+    @functools.cached_property
+    def _lu(self):
+        return factorize(self.Z)
+
+    @functools.cached_property
+    def _gamma(self):
+        return _refine(
             lambda x: self.Z @ x, self._lu.solve, self.mu_perp * self.B,
             1e-12, 3, self._z_norm,
         )
-        inner = np.eye(self.rank) + self.B.T @ self._gamma
-        self._inner_lu = lu_factor(inner)
+
+    @functools.cached_property
+    def _inner_lu(self):
+        return lu_factor(np.eye(self.rank) + self.B.T @ self._gamma)
 
     def _woodbury_step(self, rhs):
         xi = self._lu.solve(rhs)
         if self.rank == 0 or self.mu_perp == 0.0:
             return xi
-        if self._gamma is None:
-            self._prepare()
         eta = lu_solve(self._inner_lu, self.B.T @ xi)
         return xi - self._gamma @ eta
 
-    def solve_shifted(self, rhs, rtol=1e-12, max_refine=2):
+    def solve_shifted(self, rhs):
         """Solve ``(Z + mu_perp B B^T) x = rhs`` for a raw right-hand side."""
         return _refine(
-            self.apply, self._woodbury_step, rhs, rtol, max_refine, self.norm_bound
+            self.apply, self._woodbury_step, rhs, _SOLVE_RTOL, _SOLVE_MAX_REFINE,
+            self.norm_bound,
         )
 
 
@@ -347,9 +358,14 @@ def dense_oracle_eig(Q, A):
     return vals, canonical_signs(Psi)
 
 
-def smallest_eigenpairs(
-    q_apply, q_solve, A, k, sigma, seed=0, tol=1e-10, residual_tol=1e-8
-):
+# Ritz convergence tolerance handed to ARPACK
+_ARPACK_TOL = 1e-10
+# acceptance threshold for the verified residuals
+# |Q psi - lam A psi| <= _RESIDUAL_TOL * max(1, |lam|) * |A psi|
+_RESIDUAL_TOL = 1e-8
+
+
+def smallest_eigenpairs(q_apply, system, k, sigma, seed=0):
     """k smallest eigenpairs of Q psi = lam A psi via shift-invert Lanczos.
 
     Parameters
@@ -357,12 +373,10 @@ def smallest_eigenpairs(
     q_apply : callable
         Applies Q to a vector or to a matrix of columns (the residual
         check, the block polish and the small-problem dense fallback).
-    q_solve : callable
-        Applies ``(Q - sigma A)^{-1}`` to a raw vector, and to a matrix
-        of columns in the block polish; typically
-        ``LowRankShiftedSystem.solve_shifted``.
-    A : sparse array or ndarray
-        Diagonal mass.
+    system : LowRankShiftedSystem
+        ``Q - sigma A``: its ``mass`` is the diagonal of A, and its
+        ``solve_shifted`` (a vector, or a block in the polish) computes
+        the LU at its first call, so the dense fallback never factorizes.
     k : int
         Number of eigenpairs, ``1 <= k <= n``.
     sigma : float
@@ -370,11 +384,6 @@ def smallest_eigenpairs(
         values work for positive semi-definite Q).
     seed : int
         Seeds the deterministic Lanczos starting vector.
-    tol : float
-        Ritz convergence tolerance handed to ARPACK.
-    residual_tol : float
-        Acceptance threshold for the verified residuals
-        ``|Q psi - lam A psi| <= residual_tol * max(1, |lam|) * |A psi|``.
 
     Returns
     -------
@@ -385,7 +394,8 @@ def smallest_eigenpairs(
     Raises
     ------
     NumericalError
-        On ARPACK non-convergence or a failed residual check.
+        On ARPACK non-convergence, a failed residual check, or a Z that
+        ``factorize`` finds singular.
 
     Notes
     -----
@@ -394,12 +404,12 @@ def smallest_eigenpairs(
     pair only through roundoff, so a returned pair can miss the residual
     check. Only then, up to ``_POLISH_ROUNDS`` times until the check
     passes, the whole block of Ritz vectors takes one shift-invert
-    subspace step (``q_solve`` of ``A Psi``), is orthonormalized and
+    subspace step (``solve_shifted`` of ``A Psi``), is orthonormalized and
     goes through a Rayleigh-Ritz step with Q and A. A run whose check
     passes at once returns ARPACK's pairs unchanged. The dense fallback
     for ``k > n - 2`` takes the same check without the polish.
     """
-    a = mass_diagonal(A)
+    a = system.mass
     n = a.size
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
@@ -422,12 +432,12 @@ def smallest_eigenpairs(
         v0 = np.random.default_rng(seed).uniform(-1.0, 1.0, n)
         A_op = sparse.csr_array(sparse.diags_array(a))
         Q_op = LinearOperator((n, n), matvec=q_apply, dtype=np.float64)
-        OPinv = LinearOperator((n, n), matvec=q_solve, dtype=np.float64)
+        OPinv = LinearOperator((n, n), matvec=system.solve_shifted, dtype=np.float64)
         with _serial_blas():
             try:
                 lam, Psi = eigsh(
                     Q_op, k=k_solve, M=A_op, sigma=sigma, OPinv=OPinv,
-                    which="LM", v0=v0, ncv=ncv, tol=tol,
+                    which="LM", v0=v0, ncv=ncv, tol=_ARPACK_TOL,
                 )
             except ArpackNoConvergence as exc:
                 raise NumericalError(
@@ -438,12 +448,12 @@ def smallest_eigenpairs(
         lam, Psi = lam[order], Psi[:, order]
         polish_rounds = _POLISH_ROUNDS
     with _serial_blas():
-        failure = _residual_failure(q_apply, a, lam[:k], Psi[:, :k], residual_tol)
+        failure = _residual_failure(q_apply, a, lam[:k], Psi[:, :k])
         for _ in range(polish_rounds):
             if failure is None:
                 break
-            lam, Psi = _block_polish(q_apply, q_solve, a, Psi)
-            failure = _residual_failure(q_apply, a, lam[:k], Psi[:, :k], residual_tol)
+            lam, Psi = _block_polish(q_apply, system, Psi)
+            failure = _residual_failure(q_apply, a, lam[:k], Psi[:, :k])
         if failure is not None:
             raise NumericalError(failure)
         # a sign flip negates the residual exactly, so the check holds
@@ -454,25 +464,26 @@ def smallest_eigenpairs(
 _POLISH_ROUNDS = 3
 
 
-def _block_polish(q_apply, q_solve, a, Psi):
+def _block_polish(q_apply, system, Psi):
     """One shift-invert subspace step on the block Psi, then Rayleigh-Ritz.
 
     Returns the Ritz values ascending and A-orthonormal Ritz vectors of
-    the pencil (Q, A) on the span of ``q_solve(A Psi)``.
+    the pencil (Q, A) on the span of ``system.solve_shifted(A Psi)``.
     """
-    Y, _ = qr(q_solve(a[:, None] * Psi), mode="economic")
+    a = system.mass
+    Y, _ = qr(system.solve_shifted(a[:, None] * Psi), mode="economic")
     lam, C = eigh(Y.T @ q_apply(Y), Y.T @ (a[:, None] * Y))
     return lam, Y @ C
 
 
-def _residual_failure(q_apply, a, lam, Psi, residual_tol):
+def _residual_failure(q_apply, a, lam, Psi):
     """Message naming the worst pair over the residual bound, or None.
 
-    The bound is ``residual_tol * max(1, |lam|) * |A psi|`` per pair.
+    The bound is ``_RESIDUAL_TOL * max(1, |lam|) * |A psi|`` per pair.
     """
     residuals = q_apply(Psi) - (a[:, None] * Psi) * lam[None, :]
     res_norms = np.linalg.norm(residuals, axis=0)
-    ref = residual_tol * np.maximum(1.0, np.abs(lam)) * np.linalg.norm(
+    ref = _RESIDUAL_TOL * np.maximum(1.0, np.abs(lam)) * np.linalg.norm(
         a[:, None] * Psi, axis=0
     )
     if not np.any(res_norms > ref):
@@ -502,34 +513,36 @@ def _compact_wy(h, tau):
     return Y, T
 
 
-def hard_constraint_eig(W, A, region, Phi, mu_r, k):
+def hard_constraint_eig(Z, A, Phi, k):
     """Exact eigenpairs of the penalized operator on the complement of Phi.
 
-    Restricts ``W + mu_r A diag(v)`` to the A-orthogonal complement of
-    the span of Phi (so the constraint Phi^T A Psi = 0 holds exactly),
-    then solves the reduced dense symmetric problem. Spurious null
-    directions never enter: the reduction removes them structurally.
+    Restricts the penalized matrix ``Z = W + mu_r A diag(v)`` to the
+    A-orthogonal complement of the span of Phi (so the constraint
+    Phi^T A Psi = 0 holds exactly), then solves the reduced dense
+    symmetric problem. Spurious null directions never enter: the
+    reduction removes them structurally.
 
-    With S = diag(sqrt(a)), the whitened operator
-    ``M = S^-1 (W + mu_r A diag(v)) S^-1`` is formed once, in place. The
-    compact QR of ``S Phi`` gives k' Householder reflectors, Q = H_1 ...
-    H_k' = I - Y T Y^T; the congruence ``Q^T M Q`` is a symmetric
-    rank-2k' update of M's lower triangle (BLAS ``dsyr2k``), and its
-    trailing block (rows and columns k'..n-1) is M on the complement.
-    ``eigh`` solves that block for its k smallest eigenpairs, and only
-    those n-by-k eigenvectors are transformed back. Neither Q nor a
-    complement basis is formed, and the memory peak is about two n-by-n
-    arrays (M and the copy of the trailing block ``eigh`` takes).
-    k' = 0 runs the same steps with no reflectors.
+    With S = diag(sqrt(a)), the whitened operator ``M = S^-1 Z S^-1``
+    is formed once, in place. The compact QR of ``S Phi`` gives k'
+    Householder reflectors, Q = H_1 ... H_k' = I - Y T Y^T; the
+    congruence ``Q^T M Q`` is a symmetric rank-2k' update of M's lower
+    triangle (BLAS ``dsyr2k``), and its trailing block (rows and columns
+    k'..n-1) is M on the complement. ``eigh`` solves that block for its
+    k smallest eigenpairs, and only those n-by-k eigenvectors are
+    transformed back. Neither Q nor a complement basis is formed, and
+    the memory peak is about two n-by-n arrays (M and the copy of the
+    trailing block ``eigh`` takes). k' = 0 runs the same steps with no
+    reflectors.
 
     Parameters
     ----------
-    W, A : sparse arrays
-    region : Region or array_like or None
-        Membership u; penalty weight v = (1 - u)^2. None means v = 0.
-    Phi : ndarray of shape (n, k') or None
-        A-orthonormal functions to exclude.
-    mu_r : float
+    Z : sparse array
+        The penalized matrix, as the sparse part of an unshifted
+        ``build_lmh_operator`` system; it is never factorized.
+    A : sparse array or ndarray
+        Diagonal mass.
+    Phi : ndarray of shape (n, k')
+        A-orthonormal functions to exclude (checked by the builder).
     k : int
         Number of eigenpairs, ``1 <= k <= n - k'``.
 
@@ -550,26 +563,22 @@ def hard_constraint_eig(W, A, region, Phi, mu_r, k):
             f"hard-constraint path is dense and limited to {HARD_PATH_MAX_N} "
             f"vertices; this mesh has {n}. Use the relaxed path instead."
         )
-    if Phi is None:
-        Phi = np.zeros((n, 0))
     kprime = Phi.shape[1]
     if not 1 <= k <= n - kprime:
         raise ValueError(f"k must be in [1, {n - kprime}], got {k}")
 
-    v = penalty_weights(region, n)
     s = np.sqrt(a)
-    M = W.toarray(order="F")
-    M[np.diag_indices(n)] += mu_r * a * v
+    M = Z.toarray(order="F")
     M /= s[:, None]
     M /= s[None, :]
     # S Phi has orthonormal columns when Phi is A-orthonormal
     (h, tau), _ = qr(s[:, None] * Phi, mode="raw")
     Y, T = _compact_wy(h, tau)
-    # for symmetric M, Q^T M Q = M - Z Y^T - Y Z^T with Z = X - Y K / 2,
+    # for symmetric M, Q^T M Q = M - V Y^T - Y V^T with V = X - Y K / 2,
     # X = M Y T and K = T^T Y^T X; only the lower triangle is updated
     X = M @ (Y @ T)
-    Z = X - 0.5 * (Y @ (T.T @ (Y.T @ X)))
-    M = blas.dsyr2k(-1.0, Z, Y, 1.0, M, lower=1, overwrite_c=1)
+    V = X - 0.5 * (Y @ (T.T @ (Y.T @ X)))
+    M = blas.dsyr2k(-1.0, V, Y, 1.0, M, lower=1, overwrite_c=1)
     vals, vecs = eigh(M[kprime:, kprime:], lower=True, subset_by_index=(0, k - 1))
     # Psi = S^-1 Q [0; vecs]
     Psi = -(Y @ (T @ (Y[kprime:].T @ vecs)))

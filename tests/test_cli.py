@@ -156,7 +156,7 @@ class TestRegionCommand:
         assert code == 0 and summary["binary"]
         region = lmhio.load_region(summary["region_file"])
         assert region.is_binary and len(region) == 121
-        assert region.inside.size == summary["u_sum"] == 36
+        assert np.count_nonzero(region.u == 1.0) == summary["u_sum"] == 36
 
     def test_soft_region_from_seeds(self, capsys, mesh_file, tmp_path):
         code, summary = run_json(capsys, [

@@ -9,8 +9,9 @@ from scipy.linalg import subspace_angles
 from scipy.spatial.transform import Rotation
 
 from lmh import solvers
-from lmh.fem import assemble_mass, assemble_stiffness, mass_diagonal
+from lmh.fem import assemble_mass, assemble_stiffness, mass_diagonal, penalty_weights
 from lmh.localized import (
+    SOLVERS,
     Region,
     build_lmh_operator,
     compute_lmh,
@@ -25,32 +26,56 @@ from lmh.localized import (
     weyl_slope,
 )
 from lmh.mesh import MeshError, TriMesh
-from lmh.solvers import NumericalError, default_shift, dense_oracle_eig
+from lmh.solvers import NumericalError, default_shift
 from lmh.synth import grid_mesh, patch_vertices
 
-from oracles import bellman_ford, dense_pencil_eig, mesh_edges_with_lengths
+from oracles import (
+    bellman_ford,
+    constrained_pencil_eig,
+    dense_pencil_eig,
+    mesh_edges_with_lengths,
+)
+
+
+def inside(region):
+    """Indices of the vertices with full membership (u == 1)."""
+    return np.flatnonzero(region.u == 1.0)
+
+
+@pytest.fixture
+def splu_calls(monkeypatch):
+    """A list that grows by one entry per sparse LU factorization."""
+    calls = []
+    splu = solvers.splu
+
+    def counting_splu(*args, **kwargs):
+        calls.append(1)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "splu", counting_splu)
+    return calls
 
 
 class TestRegion:
     def test_penalty_weights(self):
         r = Region([0.0, 0.5, 1.0])
-        np.testing.assert_allclose(r.v, [1.0, 0.25, 0.0])
+        np.testing.assert_allclose(penalty_weights(r, 3), [1.0, 0.25, 0.0])
 
     def test_binary_flag_and_inside(self):
         r = Region.binary(5, [1, 3])
         assert r.is_binary
-        np.testing.assert_array_equal(r.inside, [1, 3])
+        np.testing.assert_array_equal(inside(r), [1, 3])
         assert not Region([0.0, 0.3, 1.0]).is_binary
 
     def test_binary_from_mask(self):
         mask = np.array([True, False, True])
-        np.testing.assert_array_equal(Region.binary(3, mask).inside, [0, 2])
+        np.testing.assert_array_equal(inside(Region.binary(3, mask)), [0, 2])
         with pytest.raises(ValueError):
             Region.binary(4, mask)
 
     def test_binary_empty_index_list(self):
         r = Region.binary(4, [])
-        assert r.is_binary and r.inside.size == 0
+        assert r.is_binary and inside(r).size == 0
 
     @pytest.mark.parametrize("index", [-1, 5, 7, 1.7, np.nan])
     def test_binary_rejects_bad_index(self, index):
@@ -58,8 +83,8 @@ class TestRegion:
             Region.binary(5, [0, index])
 
     def test_full(self):
-        r = Region.full(6)
-        assert r.is_binary and len(r) == 6 and r.inside.size == 6
+        r = Region(np.ones(6))
+        assert r.is_binary and len(r) == 6 and inside(r).size == 6
 
     def test_membership_validation(self):
         with pytest.raises(ValueError):
@@ -82,10 +107,13 @@ class TestBuildOperator:
         W = assemble_stiffness(unit_square)
         A = assemble_mass(unit_square)
         u = rng.uniform(0.0, 1.0, unit_square.n_vertices)
-        # sigma = 0 leaves the sparse part singular (Z = W); a negative
-        # shift is required to set up the solve path
-        with pytest.raises(NumericalError):
-            build_lmh_operator(W, A, Region(u), None, 0.0, 0.0)
+        # sigma = 0 leaves the sparse part singular (Z = W): building
+        # succeeds, since the LU is computed at the first solve, and that
+        # solve asks for a negative shift
+        system, _ = build_lmh_operator(W, A, Region(u), None, 0.0, 0.0)
+        np.testing.assert_array_equal(system.Z.toarray(), W.toarray())
+        with pytest.raises(NumericalError, match="negative shift"):
+            system.solve_shifted(np.ones(unit_square.n_vertices))
         sigma = default_shift(W)
         _, q_apply = build_lmh_operator(W, A, Region(u), None, 0.0, 0.0,
                                         sigma=sigma)
@@ -103,7 +131,8 @@ class TestBuildOperator:
         mu_r, mu_perp = 100.0, 1e5
         _, q_apply = build_lmh_operator(W, A, region, phi, mu_r, mu_perp)
         B = a[:, None] * phi
-        Q = W.toarray() + mu_r * np.diag(a * region.v) + mu_perp * (B @ B.T)
+        v = penalty_weights(region, n)
+        Q = W.toarray() + mu_r * np.diag(a * v) + mu_perp * (B @ B.T)
         X = rng.standard_normal((n, 3))
         scale = np.abs(Q @ X).max()
         np.testing.assert_allclose(q_apply(X), Q @ X, atol=1e-10 * scale)
@@ -194,40 +223,97 @@ class TestComputeLmh:
         assert basis.params["phi_overlap_max"] <= 1e-4
 
     def test_relaxed_matches_dense_oracle(self, unit_square):
+        n = unit_square.n_vertices
         region = Region.binary(
-            unit_square.n_vertices,
-            patch_vertices(unit_square, (0.0, 0.5), (0.0, 0.5)),
+            n, patch_vertices(unit_square, (0.0, 0.5), (0.0, 0.5))
         )
+        W = assemble_stiffness(unit_square)
+        a = mass_diagonal(assemble_mass(unit_square))
         fast = compute_lmh(unit_square, region, k=5, kprime=4)
         dense = compute_lmh(unit_square, region, k=5, kprime=4, solver="oracle")
-        ref = np.maximum(np.abs(dense.spectrum), 1e-6)
-        assert np.max(np.abs(fast.spectrum - dense.spectrum) / ref) <= 1e-6
+        # the projector A P depends only on the span of the first four
+        # harmonics, not on the basis chosen for it
+        B = a[:, None] * compute_mh(unit_square, 4).functions
+        Q = (
+            W.toarray()
+            + 100.0 * np.diag(a * penalty_weights(region, n))
+            + fast.params["mu_perp"] * (B @ B.T)
+        )
+        lam_ref = dense_pencil_eig(Q, a)[0][:5]
+        ref = np.maximum(np.abs(lam_ref), 1e-6)
+        for basis in (fast, dense):
+            assert np.max(np.abs(basis.spectrum - lam_ref) / ref) <= 1e-6
 
     @pytest.mark.parametrize("full", [False, True], ids=["none", "full"])
     def test_oracle_without_penalty_matches_hard(self, unit_square, full):
-        # v = 0 leaves W, which is singular, as the sparse part; the oracle
-        # must not factorize it unshifted
-        region = Region.full(unit_square.n_vertices) if full else None
+        # v = 0 leaves W, which is singular, as the sparse part; neither
+        # dense path may factorize it unshifted. Each is checked against
+        # its own dense reference: hard on the complement of phi, oracle
+        # on the relaxed pencil
+        n = unit_square.n_vertices
+        region = Region(np.ones(n)) if full else None
         hard = compute_lmh(unit_square, region, k=5, kprime=3, solver="hard")
         dense = compute_lmh(unit_square, region, k=5, kprime=3, solver="oracle")
-        np.testing.assert_allclose(dense.spectrum, hard.spectrum, rtol=0, atol=1e-8)
+        W = assemble_stiffness(unit_square).toarray()
+        a = mass_diagonal(assemble_mass(unit_square))
+        phi = compute_mh(unit_square, 3).functions
+        B = a[:, None] * phi
+        lam_hard = constrained_pencil_eig(W, a, phi)[0][:5]
+        lam_dense = dense_pencil_eig(W + dense.params["mu_perp"] * (B @ B.T), a)[0][:5]
+        np.testing.assert_allclose(hard.spectrum, lam_hard, rtol=0, atol=1e-8)
+        np.testing.assert_allclose(dense.spectrum, lam_dense, rtol=0, atol=1e-8)
 
-    def test_oracle_runs_no_sparse_factorization(self, unit_square, monkeypatch):
+    @pytest.mark.parametrize("case", ["mu_r", "mu_perp", "region", "phi"])
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_every_path_rejects_the_same_bad_input(self, unit_square, solver, case):
         n = unit_square.n_vertices
         region = Region.binary(n, patch_vertices(unit_square, (0.0, 0.5), (0.0, 0.5)))
         phi = compute_mh(unit_square, 4).functions
-        calls = []
-        splu = solvers.splu
+        kwargs = {"mu_r": 100.0, "mu_perp": 1e5, "phi": phi}
+        match = "penalty weights must be non-negative"
+        if case == "mu_r":
+            kwargs["mu_r"] = -5.0
+        elif case == "mu_perp":
+            kwargs["mu_perp"] = -1.0
+        elif case == "region":
+            region = np.ones(n - 1)
+            match = f"{n - 1} values for {n} vertices"
+        else:
+            kwargs["phi"] = 2.0 * phi
+            match = "A-orthonormal"
+        with pytest.raises(ValueError, match=match):
+            compute_lmh(unit_square, region, k=5, kprime=4, solver=solver, **kwargs)
 
-        def counting_splu(*args, **kwargs):
-            calls.append(1)
-            return splu(*args, **kwargs)
+    def test_hard_rejects_rank_deficient_phi(self):
+        # a repeated column makes phi rank 3: not A-orthonormal, and the
+        # exact constraint would drop one direction silently
+        mesh = grid_mesh(10, 10)
+        region = Region.binary(
+            mesh.n_vertices, patch_vertices(mesh, (0.0, 0.5), (0.0, 0.5))
+        )
+        phi = compute_mh(mesh, 3).functions
+        phi = np.hstack([phi, phi[:, :1]])
+        with pytest.raises(ValueError, match="A-orthonormal"):
+            compute_lmh(mesh, region, k=5, kprime=4, phi=phi, solver="hard")
 
-        monkeypatch.setattr(solvers, "splu", counting_splu)
-        compute_lmh(unit_square, region, k=5, kprime=4, phi=phi, solver="oracle")
-        assert len(calls) == 0
+    def test_oracle_runs_no_sparse_factorization(self, unit_square, splu_calls):
+        n = unit_square.n_vertices
+        region = Region.binary(n, patch_vertices(unit_square, (0.0, 0.5), (0.0, 0.5)))
+        phi = compute_mh(unit_square, 4).functions
+        splu_calls.clear()
+        for solver in ("oracle", "hard"):
+            compute_lmh(unit_square, region, k=5, kprime=4, phi=phi, solver=solver)
+        assert len(splu_calls) == 0
         compute_lmh(unit_square, region, k=5, kprime=4, phi=phi)
-        assert len(calls) == 1
+        assert len(splu_calls) == 1
+
+    def test_kprime_zero_runs_no_global_solve(self, plane, plane_patch, splu_calls):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            basis = compute_lmh(plane, plane_patch, k=5, kprime=0, mu_perp=0.0)
+        # the localized solve only; no global harmonics for an empty phi
+        assert len(splu_calls) == 1
+        assert basis.params["phi_overlap_max"] == 0.0
 
     def test_phi_reuse_matches_internal_computation(self, unit_square):
         region = Region.binary(
@@ -289,7 +375,7 @@ class TestComputeLmh:
 
 class TestComputePmh:
     def test_full_region_equals_global_harmonics(self, unit_square):
-        full = Region.full(unit_square.n_vertices)
+        full = Region(np.ones(unit_square.n_vertices))
         pmh = compute_pmh(unit_square, full, k=6)
         mh = compute_mh(unit_square, 6)
         np.testing.assert_allclose(pmh.spectrum, mh.spectrum, atol=1e-8)
@@ -358,7 +444,7 @@ class TestSoftRegion:
     def test_small_variance_approaches_indicator(self, plane):
         region = soft_region_from_seeds(plane, [3, 11], variance=1e-12)
         assert region.is_binary
-        np.testing.assert_array_equal(region.inside, [3, 11])
+        np.testing.assert_array_equal(inside(region), [3, 11])
 
     def test_matches_distance_oracle(self, unit_square):
         seeds, variance = [5, 77], 0.04
@@ -412,10 +498,10 @@ class TestVerifySpectralGap:
             B = a[:, None] * phi
             Q = (
                 W.toarray()
-                + report.mu_r * np.diag(a * region.v)
+                + report.mu_r * np.diag(a * penalty_weights(region, a.size))
                 + report.mu_perp * (B @ B.T)
             )
-            lam_o, _ = dense_oracle_eig(Q, A.toarray())
+            lam_o, _ = dense_pencil_eig(Q, a)
             assert abs(report.lam1_Q - lam_o[0]) <= 1e-6 * max(
                 1.0, abs(lam_o[0])
             )
@@ -484,7 +570,7 @@ class TestVerifyUpperBound:
         B = a[:, None] * phi
         Q = (
             W.toarray()
-            + mu_r * np.diag(a * region.v)
+            + mu_r * np.diag(a * penalty_weights(region, a.size))
             + report.mu_perp * (B @ B.T)
         )
         lam_o, _ = dense_pencil_eig(Q, a)
@@ -503,7 +589,7 @@ class TestVerifyUpperBound:
         assert report.passed
 
     def test_full_region_recovers_global_spectrum(self, unit_square):
-        full = Region.full(unit_square.n_vertices)
+        full = Region(np.ones(unit_square.n_vertices))
         report = verify_upper_bound(unit_square, full, kprime=0, k=6, mu_r=1e4)
         assert report.passed
         ref = np.maximum(np.abs(report.lmh_spectrum), 1e-6)
@@ -558,7 +644,7 @@ class TestRegionEnergyFraction:
     def test_indicator_function(self, plane, plane_patch, plane_ops):
         _, A = plane_ops
         f = np.zeros((plane.n_vertices, 1))
-        f[plane_patch.inside, 0] = 1.0
+        f[inside(plane_patch), 0] = 1.0
         np.testing.assert_allclose(
             region_energy_fraction(f, A, plane_patch), [1.0], atol=1e-14
         )
@@ -569,7 +655,7 @@ class TestRegionEnergyFraction:
         a = mass_diagonal(A)
         f = np.ones((plane.n_vertices, 1))
         frac = region_energy_fraction(f, A, plane_patch)[0]
-        expected = a[plane_patch.inside].sum() / a.sum()
+        expected = a[inside(plane_patch)].sum() / a.sum()
         assert abs(frac - expected) <= 1e-12
 
 
