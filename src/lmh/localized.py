@@ -28,9 +28,9 @@ from scipy import sparse
 from .fem import assemble_mass, assemble_stiffness, mass_diagonal, penalty_weights
 from .mesh import MeshError, TriMesh, graph_geodesics, intrinsic_diameter, membership
 from .solvers import (
-    DENSE_ORACLE_MAX_N,
     LowRankShiftedSystem,
     _serial_blas,
+    check_dense_size,
     default_shift,
     dense_oracle_eig,
     hard_constraint_eig,
@@ -309,6 +309,8 @@ def compute_lmh(
         )
     if solver not in SOLVERS:
         raise ValueError(f"unknown solver path '{solver}'")
+    # before any global solve, which a refused dense path would waste
+    check_dense_size(solver, n)
     a = mass_diagonal(A)
     if region is not None and not np.any(membership(region, n)):
         warnings.warn(
@@ -351,10 +353,6 @@ def compute_lmh(
     elif solver == "relaxed":
         lam, Psi = smallest_eigenpairs(q_apply, system, k, sigma, seed=seed)
     else:
-        if n > DENSE_ORACLE_MAX_N:
-            raise ValueError(
-                f"oracle path limited to {DENSE_ORACLE_MAX_N} vertices, got {n}"
-            )
         vals, vecs = dense_oracle_eig(q_apply(np.eye(n)), A)
         lam, Psi = vals[:k], vecs[:, :k]
 

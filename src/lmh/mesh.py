@@ -162,7 +162,40 @@ def _content_lines(text):
     return out
 
 
+def _off_arrays_bulk(text):
+    """Vertex and face arrays of a plain OFF file, or None.
+
+    Parses the common shape with one ``np.array`` call per block: an
+    ``OFF`` line, a count line, then exactly three coordinates on each
+    vertex line and ``3 i j k`` on each face line, with no comments.
+    Anything else returns None and goes through the token parser, which
+    names the problem.
+    """
+    if "#" in text:
+        return None
+    lines = text.splitlines()
+    try:
+        if lines[0].split() != ["OFF"]:
+            return None
+        counts = lines[1].split()
+        nv, nf = int(counts[0]), int(counts[1])
+        vertices = np.array(
+            [line.split() for line in lines[2 : 2 + nv]], dtype=np.float64
+        )
+        faces = np.array(
+            [line.split() for line in lines[2 + nv : 2 + nv + nf]], dtype=np.int64
+        )
+    except (IndexError, ValueError, OverflowError):
+        return None
+    if vertices.shape != (nv, 3) or faces.shape != (nf, 4) or np.any(faces[:, 0] != 3):
+        return None
+    return vertices, np.ascontiguousarray(faces[:, 1:])
+
+
 def _parse_off(text):
+    arrays = _off_arrays_bulk(text)
+    if arrays is not None:
+        return TriMesh(*arrays)
     lines = _content_lines(text)
     if not lines:
         raise MeshError("OFF: empty file")

@@ -6,7 +6,10 @@ object, ``LowRankShiftedSystem``, which represents
 ``Q - sigma A = Z + mu_perp B B^T`` (mu_perp = 0 for the global
 harmonics): at its first solve it computes the checked sparse LU of Z
 (``factorize``) and corrects it with a dense rank-k' Woodbury system,
-so building a system costs no factorization. No n-by-n dense
+so building a system costs no factorization. Z must be symmetric
+positive definite or semi-definite: ``factorize`` orders it by reverse
+Cuthill-McKee followed by SuperLU's minimum degree on Z + Z^T, and
+factors it in symmetric mode without pivoting. No n-by-n dense
 intermediate is formed on this path. Each inner solve costs one LU
 solve as a rule: the refinement loop on the full system (``_refine``)
 stops once the normwise backward error is at roundoff level, which the
@@ -21,8 +24,9 @@ sparse part of an unshifted system) to the
 A-orthogonal complement of a given subspace by a congruence with the
 compact Householder reflectors of that subspace's QR (a symmetric
 rank-2k' update), then solves the trailing block. It never forms the
-orthogonal factor or a complement basis, so its memory peak is about
-two n-by-n arrays and its cost is the O(n^3) ``eigh``.
+orthogonal factor, a complement basis or a copy of that block, so its
+memory peak is about one n-by-n array and its cost is the O(n^3)
+``eigh``.
 
 Thread policy: the shift-invert Lanczos path runs with the bundled
 OpenBLAS pools at one thread (its BLAS calls are too small to gain from
@@ -41,6 +45,7 @@ import numpy as np
 import scipy
 from scipy import sparse
 from scipy.linalg import blas, eigh, lu_factor, lu_solve, qr
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
 from .fem import mass_diagonal
@@ -52,6 +57,19 @@ HARD_PATH_MAX_N = 5000
 
 class NumericalError(RuntimeError):
     """Raised when a factorization or eigensolve fails numerically."""
+
+
+def check_dense_size(solver, n):
+    """Raise ValueError if the dense ``hard`` or ``oracle`` path refuses n vertices."""
+    if solver == "hard" and n > HARD_PATH_MAX_N:
+        raise ValueError(
+            f"hard-constraint path is dense and limited to {HARD_PATH_MAX_N} "
+            f"vertices; this mesh has {n}. Use the relaxed path instead."
+        )
+    if solver == "oracle" and n > DENSE_ORACLE_MAX_N:
+        raise ValueError(
+            f"oracle path limited to {DENSE_ORACLE_MAX_N} vertices, got {n}"
+        )
 
 
 def default_shift(W):
@@ -160,12 +178,26 @@ _SOLVE_MAX_REFINE = 2
 
 
 def factorize(Z):
-    """Sparse LU (``splu``) of a symmetric positive (semi-)definite matrix.
+    """Sparse LU of a symmetric positive (semi-)definite matrix, without pivoting.
+
+    The matrix is first put in reverse Cuthill-McKee order; SuperLU then
+    orders the permuted matrix by multiple minimum degree on Z + Z^T
+    (``MMD_AT_PLUS_A``) in symmetric mode and keeps every diagonal
+    pivot, so rows and columns are permuted alike and L U is a
+    Cholesky-like factorization of the reordered Z. Minimum degree alone
+    depends on the input numbering: on closed meshes it fills several
+    times more than SuperLU's default COLAMD, and the RCM pre-order
+    removes that dependence. Skipping the pivot search is only stable
+    for a symmetric positive (semi-)definite Z; an indefinite Z (a shift
+    above the smallest eigenvalue) factorizes, but without that
+    guarantee.
 
     Returns
     -------
-    scipy.sparse.linalg.SuperLU
-        Its ``solve`` is one LU solve, without refinement.
+    object
+        ``solve(rhs)`` is one LU solve of Z, without refinement, for a
+        vector or a block of columns; ``nnz`` counts the stored
+        nonzeros of L and U.
 
     Raises
     ------
@@ -186,8 +218,12 @@ def factorize(Z):
             "factorize expects a positive diagonal; "
             "shift the matrix by a small multiple of the mass first"
         )
+    perm = reverse_cuthill_mckee(Z, symmetric_mode=True)
     try:
-        lu = splu(Z.tocsc())
+        lu = splu(
+            Z[perm][:, perm].tocsc(), permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0, options=dict(SymmetricMode=True),
+        )
     except RuntimeError as exc:
         raise NumericalError(
             "matrix is numerically singular; apply a small negative "
@@ -200,7 +236,25 @@ def factorize(Z):
             "negative shift sigma (Z - sigma*A with sigma < 0) and "
             "refactorize"
         )
-    return lu
+    return _PermutedLU(lu, perm)
+
+
+class _PermutedLU:
+    """LU of ``Z[perm][:, perm]`` that solves with Z itself."""
+
+    def __init__(self, lu, perm):
+        self._lu = lu
+        self._perm = perm
+
+    @property
+    def nnz(self):
+        return self._lu.nnz
+
+    def solve(self, rhs):
+        y = self._lu.solve(rhs[self._perm])
+        x = np.empty_like(y)
+        x[self._perm] = y
+        return x
 
 
 class LowRankShiftedSystem:
@@ -528,11 +582,11 @@ def hard_constraint_eig(Z, A, Phi, k):
     congruence ``Q^T M Q`` is a symmetric rank-2k' update of M's lower
     triangle (BLAS ``dsyr2k``), and its trailing block (rows and columns
     k'..n-1) is M on the complement. ``eigh`` solves that block for its
-    k smallest eigenpairs, and only those n-by-k eigenvectors are
-    transformed back. Neither Q nor a complement basis is formed, and
-    the memory peak is about two n-by-n arrays (M and the copy of the
-    trailing block ``eigh`` takes). k' = 0 runs the same steps with no
-    reflectors.
+    k smallest eigenpairs in place, after the block is moved column by
+    column to the front of M's buffer, and only those n-by-k
+    eigenvectors are transformed back. Neither Q nor a complement basis
+    nor a copy of the block is formed, so the memory peak is about one
+    n-by-n array. k' = 0 runs the same steps with no reflectors.
 
     Parameters
     ----------
@@ -558,11 +612,7 @@ def hard_constraint_eig(Z, A, Phi, k):
     """
     a = mass_diagonal(A)
     n = a.size
-    if n > HARD_PATH_MAX_N:
-        raise ValueError(
-            f"hard-constraint path is dense and limited to {HARD_PATH_MAX_N} "
-            f"vertices; this mesh has {n}. Use the relaxed path instead."
-        )
+    check_dense_size("hard", n)
     kprime = Phi.shape[1]
     if not 1 <= k <= n - kprime:
         raise ValueError(f"k must be in [1, {n - kprime}], got {k}")
@@ -579,7 +629,18 @@ def hard_constraint_eig(Z, A, Phi, k):
     X = M @ (Y @ T)
     V = X - 0.5 * (Y @ (T.T @ (Y.T @ X)))
     M = blas.dsyr2k(-1.0, V, Y, 1.0, M, lower=1, overwrite_c=1)
-    vals, vecs = eigh(M[kprime:, kprime:], lower=True, subset_by_index=(0, k - 1))
+    # move the trailing block to the front of M's buffer as an
+    # F-contiguous m-by-m matrix; each column lands below its source, so
+    # no column is overwritten before it is read
+    m = n - kprime
+    buf = M.reshape(-1, order="F")
+    for j in range(m):
+        src = (kprime + j) * n + kprime
+        buf[j * m : (j + 1) * m] = buf[src : src + m]
+    trailing = buf[: m * m].reshape((m, m), order="F")
+    vals, vecs = eigh(
+        trailing, lower=True, subset_by_index=(0, k - 1), overwrite_a=True
+    )
     # Psi = S^-1 Q [0; vecs]
     Psi = -(Y @ (T @ (Y[kprime:].T @ vecs)))
     Psi[kprime:] += vecs

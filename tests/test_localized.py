@@ -307,6 +307,20 @@ class TestComputeLmh:
         compute_lmh(unit_square, region, k=5, kprime=4, phi=phi)
         assert len(splu_calls) == 1
 
+    @pytest.mark.parametrize("solver, size, match", [
+        ("hard", 71, "hard-constraint path is dense and limited to 5000"),
+        ("oracle", 45, "oracle path limited to 2000 vertices"),
+    ])
+    def test_refused_dense_path_runs_no_global_solve(self, solver, size, match,
+                                                     splu_calls):
+        mesh = grid_mesh(size, size)
+        region = Region.binary(
+            mesh.n_vertices, patch_vertices(mesh, (0.0, 0.5), (0.0, 0.5))
+        )
+        with pytest.raises(ValueError, match=match):
+            compute_lmh(mesh, region, k=5, kprime=4, solver=solver)
+        assert len(splu_calls) == 0
+
     def test_kprime_zero_runs_no_global_solve(self, plane, plane_patch, splu_calls):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -129,6 +129,41 @@ class TestLoadMesh:
         n_distinct = len(plane.edges)
         assert len(plane.interior_edges) + len(plane.boundary_edges) == n_distinct
 
+    @pytest.mark.parametrize("mesh", [grid_mesh(12, 7), tetrahedron()],
+                             ids=["grid", "tetrahedron"])
+    def test_bulk_off_parse_matches_token_parse(self, tmp_path, mesh):
+        path = tmp_path / "m.off"
+        write_off(mesh, path)
+        text = path.read_text()
+        bulk = load_mesh(text, "off")
+        # a comment sends the same content through the token parser
+        tokens = load_mesh(text + "# end\n", "off")
+        for got, want in ((bulk.vertices, tokens.vertices), (bulk.faces, tokens.faces)):
+            assert got.dtype == want.dtype and got.flags.c_contiguous
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(bulk.vertices, mesh.vertices)
+        np.testing.assert_array_equal(bulk.faces, mesh.faces)
+
+    @pytest.mark.parametrize("body, match", [
+        ("0 0 0\n1 0\n0 1 0\n3 0 1 2\n", "malformed vertex line"),
+        ("0 0 0\n1 0 x\n0 1 0\n3 0 1 2\n", "malformed vertex line"),
+        ("0 0 0\n1 0 0\n0 1 0\n4 0 1 2\n", "face with 4 vertices"),
+        ("0 0 0\n1 0 0\n0 1 0\n3 0 1\n", "truncated face line"),
+        ("0 0 0\n1 0 0\n0 1 0\nx 0 1 2\n", "malformed face line"),
+        ("0 0 0\n1 0 0\n0 1 0\n", "expected 3 vertex and 1 face lines, got 3"),
+    ])
+    def test_off_errors_name_the_problem(self, body, match):
+        with pytest.raises(MeshError, match=match):
+            load_mesh("OFF\n3 1 0\n" + body, "off")
+
+    def test_off_extra_vertex_tokens_and_blank_lines(self):
+        # colours after the coordinates and blank lines go through the
+        # token parser, which reads the first three coordinates
+        text = "OFF\n\n3 1 0\n0 0 0 1\n1 0 0 1\n\n0 1 0 1\n3 0 1 2 7\n"
+        mesh = load_mesh(text, "off")
+        np.testing.assert_array_equal(mesh.vertices, [[0, 0, 0], [1, 0, 0], [0, 1, 0]])
+        np.testing.assert_array_equal(mesh.faces, [[0, 1, 2]])
+
     def test_off_roundtrip(self, tmp_path, tetra):
         path = tmp_path / "t.off"
         write_off(tetra, path)
