@@ -49,7 +49,6 @@ def stack_bases(bases):
     return SpectralBasis(
         functions=np.hstack([b.functions for b in bases]),
         spectrum=np.concatenate([b.spectrum for b in bases]),
-        dirichlet=np.concatenate([b.dirichlet for b in bases]),
         kind="mixed",
         params={"blocks": [b.n_functions for b in bases],
                 "kinds": [b.kind for b in bases]},

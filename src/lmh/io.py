@@ -60,8 +60,7 @@ def save_basis(basis, basis_path, spectrum_path=None):
 def load_basis(basis_path, spectrum_path=None, kind="MH"):
     """Read a basis file (and optional spectrum file) back.
 
-    Dirichlet energies are not stored in the file format; the loaded
-    basis carries NaNs there, and the given ``kind`` label is trusted.
+    The given ``kind`` label is trusted.
     """
     functions = _load_matrix(basis_path, "basis", "n m")
     m = functions.shape[1]
@@ -74,7 +73,6 @@ def load_basis(basis_path, spectrum_path=None, kind="MH"):
     return SpectralBasis(
         functions=functions,
         spectrum=spectrum,
-        dirichlet=np.full(m, np.nan),
         kind=kind,
         params={"source": str(basis_path)},
     )

@@ -4,13 +4,15 @@ Builds the modified operator ``Q = W + mu_r A diag(v) + mu_perp A P``
 whose smallest generalized eigenpairs concentrate on a chosen region
 while staying A-orthogonal to the first k' global harmonics (P is the
 A-orthogonal projector onto their span). ``build_lmh_operator`` is the
-one place that turns a region and the weights into matrices; every
-solver path starts from the system it returns:
+one place that turns a region, the weights and the default shift into
+a ``LowRankShiftedSystem``, which owns Q, the mass and the shift;
+``compute_lmh`` builds it once and every solver path starts from it:
 
 * ``relaxed`` - sparse shift-invert Lanczos with Woodbury inner solves
   (the fast path; the projector is never densified),
-* ``hard`` - dense solve of the unshifted penalized matrix on the
-  orthogonal complement, with the constraint enforced exactly,
+* ``hard`` - dense solve of the unshifted penalized matrix
+  (``sparse_part(0.0)``) on the orthogonal complement, with the
+  constraint enforced exactly,
 * ``oracle`` - dense solve of the relaxed operator, for cross-checks.
 
 The system factorizes its sparse part at its first solve, so only the
@@ -107,9 +109,6 @@ class SpectralBasis:
         One function per column.
     spectrum : ndarray of shape (m,)
         Generalized eigenvalues, ascending.
-    dirichlet : ndarray of shape (m,)
-        Dirichlet energies ``psi W psi`` (for padded bases, measured on
-        the submesh operator).
     kind : str
         "MH", "LMH", "PMH" or "mixed".
     params : dict
@@ -118,7 +117,6 @@ class SpectralBasis:
 
     functions: np.ndarray
     spectrum: np.ndarray
-    dirichlet: np.ndarray
     kind: str
     params: dict = field(default_factory=dict)
 
@@ -145,11 +143,7 @@ def _operators(mesh, W, A):
     return W, A
 
 
-def _dirichlet_energies(W, Psi):
-    return np.einsum("ij,ij->j", Psi, W @ Psi)
-
-
-def compute_mh(mesh, k, seed=0, W=None, A=None, sigma=None):
+def compute_mh(mesh, k, seed=0, W=None, A=None):
     """First k manifold harmonics (global Laplacian eigenbasis).
 
     Parameters
@@ -161,8 +155,6 @@ def compute_mh(mesh, k, seed=0, W=None, A=None, sigma=None):
         Seeds the iterative solver start vector.
     W, A : sparse arrays, optional
         Reuse preassembled operators.
-    sigma : float, optional
-        Spectral shift; defaults to a small negative value.
 
     Returns
     -------
@@ -172,20 +164,17 @@ def compute_mh(mesh, k, seed=0, W=None, A=None, sigma=None):
     n = W.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
-    if sigma is None:
-        sigma = default_shift(W)
-    system, q_apply = build_lmh_operator(W, A, None, None, 0.0, 0.0, sigma)
-    lam, Psi = smallest_eigenpairs(q_apply, system, k, sigma, seed=seed)
+    system, _ = build_lmh_operator(W, A, None, None, 0.0, 0.0)
+    lam, Psi = smallest_eigenpairs(system, k, seed=seed)
     return SpectralBasis(
         functions=Psi,
         spectrum=lam,
-        dirichlet=_dirichlet_energies(W, Psi),
         kind="MH",
-        params={"k": k, "sigma": sigma, "seed": seed},
+        params={"k": k, "sigma": system.sigma, "seed": seed},
     )
 
 
-def build_lmh_operator(W, A, region, phi, mu_r, mu_perp, sigma=0.0):
+def build_lmh_operator(W, A, region, phi, mu_r, mu_perp, sigma=None):
     """Assemble the localized operator in low-rank shifted form.
 
     Parameters
@@ -197,17 +186,18 @@ def build_lmh_operator(W, A, region, phi, mu_r, mu_perp, sigma=0.0):
         A-orthonormal harmonics spanning the subspace to avoid.
     mu_r, mu_perp : float
         Non-negative penalty weights.
-    sigma : float
-        Shift applied to the sparse part (for shift-invert solves). At
-        sigma = 0 the sparse part is exactly ``W + mu_r A diag(v)``.
+    sigma : float, optional
+        Shift of the system's solves; defaults to ``default_shift(W)``,
+        a small negative value. At sigma = 0 the sparse part is exactly
+        ``W + mu_r A diag(v)``.
 
     Returns
     -------
     (LowRankShiftedSystem, callable)
-        The shifted system ``W + mu_r A diag(v) - sigma A  (+ low-rank
-        part)`` and a closure applying the unshifted operator Q. No
-        factorization happens here: the system computes its sparse LU
-        at its first solve.
+        The system of the pencil (Q, A) at the shift sigma and its
+        ``q_apply``, which applies the unshifted Q. No factorization
+        happens here: the system computes its sparse LU at its first
+        solve.
 
     Raises
     ------
@@ -231,18 +221,12 @@ def build_lmh_operator(W, A, region, phi, mu_r, mu_perp, sigma=0.0):
         if np.abs(gram - np.eye(phi.shape[1])).max() > 1e-6:
             raise ValueError("phi must be A-orthonormal (within 1e-6)")
 
-    penalty = mu_r * a * v
-    B = a[:, None] * phi
-
-    def q_apply(x):
-        y = W @ x
-        y = y + (penalty * x if x.ndim == 1 else penalty[:, None] * x)
-        if B.shape[1] and mu_perp != 0.0:
-            y = y + mu_perp * (B @ (B.T @ x))
-        return y
-
-    Z = W + sparse.diags_array(penalty - sigma * a)
-    return LowRankShiftedSystem(Z.tocsr(), B, mu_perp, A), q_apply
+    if sigma is None:
+        sigma = default_shift(W)
+    system = LowRankShiftedSystem(
+        W, a[:, None] * phi, mu_perp, A, penalty=mu_r * a * v, sigma=sigma
+    )
+    return system, system.q_apply
 
 
 def default_mu_perp(lam_next):
@@ -262,7 +246,6 @@ def compute_lmh(
     seed=0,
     W=None,
     A=None,
-    sigma=None,
 ):
     """First k localized harmonics for a region.
 
@@ -289,7 +272,6 @@ def compute_lmh(
         of the relaxed operator.
     seed : int
     W, A : sparse arrays, optional
-    sigma : float, optional
 
     Returns
     -------
@@ -324,7 +306,7 @@ def compute_lmh(
         # an empty phi never uses the mu_perp a global solve would set
         phi = np.zeros((n, 0))
     elif phi is None:
-        mh = compute_mh(mesh, kprime + 1, seed=seed, W=W, A=A, sigma=sigma)
+        mh = compute_mh(mesh, kprime + 1, seed=seed, W=W, A=A)
         phi = mh.functions[:, :kprime]
         lam_next = float(mh.spectrum[kprime])
     else:
@@ -340,20 +322,15 @@ def compute_lmh(
             stacklevel=2,
         )
 
-    if sigma is None:
-        sigma = default_shift(W)
-
     # hard takes the unshifted penalized matrix; no path but relaxed
     # solves with the system, so no other path factorizes
-    system, q_apply = build_lmh_operator(
-        W, A, region, phi, mu_r, mu_perp, 0.0 if solver == "hard" else sigma
-    )
+    system, _ = build_lmh_operator(W, A, region, phi, mu_r, mu_perp)
     if solver == "hard":
-        lam, Psi = hard_constraint_eig(system.Z, A, phi, k)
+        lam, Psi = hard_constraint_eig(system.sparse_part(0.0), A, phi, k)
     elif solver == "relaxed":
-        lam, Psi = smallest_eigenpairs(q_apply, system, k, sigma, seed=seed)
+        lam, Psi = smallest_eigenpairs(system, k, seed=seed)
     else:
-        vals, vecs = dense_oracle_eig(q_apply(np.eye(n)), A)
+        vals, vecs = dense_oracle_eig(system.q_apply(np.eye(n)), A)
         lam, Psi = vals[:k], vecs[:, :k]
 
     # serial BLAS, as in the solve, keeps these diagnostics independent
@@ -371,7 +348,6 @@ def compute_lmh(
     return SpectralBasis(
         functions=Psi,
         spectrum=lam,
-        dirichlet=_dirichlet_energies(W, Psi),
         kind="LMH",
         params={
             "k": k,
@@ -379,7 +355,7 @@ def compute_lmh(
             "mu_r": mu_r,
             "mu_perp": mu_perp,
             "solver": solver,
-            "sigma": sigma,
+            "sigma": system.sigma,
             "seed": seed,
             "phi_overlap_max": overlap,
             "orthonormality_defect": defect,
@@ -452,7 +428,6 @@ def compute_pmh(mesh, region, k, seed=0):
     return SpectralBasis(
         functions=padded,
         spectrum=basis.spectrum,
-        dirichlet=basis.dirichlet,
         kind="PMH",
         params={"k": k, "seed": seed, "vertex_indices": vidx},
     )
@@ -549,8 +524,7 @@ def verify_spectral_gap(
     if kprime < 1:
         raise ValueError("kprime must be at least 1")
     W, A = _operators(mesh, W, A)
-    sigma = default_shift(W)
-    mh = compute_mh(mesh, kprime + 1, seed=seed, W=W, A=A, sigma=sigma)
+    mh = compute_mh(mesh, kprime + 1, seed=seed, W=W, A=A)
     lam_kp = float(mh.spectrum[kprime - 1])
     lam_next = float(mh.spectrum[kprime])
     if mu_perp is None:
@@ -562,8 +536,8 @@ def verify_spectral_gap(
             stacklevel=2,
         )
     phi = mh.functions[:, :kprime]
-    system, q_apply = build_lmh_operator(W, A, region, phi, mu_r, mu_perp, sigma)
-    lam1 = float(smallest_eigenpairs(q_apply, system, 1, sigma, seed=seed)[0][0])
+    system, _ = build_lmh_operator(W, A, region, phi, mu_r, mu_perp)
+    lam1 = float(smallest_eigenpairs(system, 1, seed=seed)[0][0])
     gap = lam1 - lam_kp
     threshold = -1e-6 * lam_kp - 1e-12 * max(1.0, lam_next)
     return GapReport(

@@ -1,16 +1,17 @@
 """Sparse factorization, low-rank shifted solves and eigensolvers.
 
 The fast path solves the generalized problem Q psi = lam A psi with
-shift-invert Lanczos (ARPACK). Every sparse solve goes through one
-object, ``LowRankShiftedSystem``, which represents
-``Q - sigma A = Z + mu_perp B B^T`` (mu_perp = 0 for the global
-harmonics): at its first solve it computes the checked sparse LU of Z
-(``factorize``) and corrects it with a dense rank-k' Woodbury system,
-so building a system costs no factorization. Z must be symmetric
-positive definite or semi-definite: ``factorize`` orders it by reverse
-Cuthill-McKee followed by SuperLU's minimum degree on Z + Z^T, and
-factors it in symmetric mode without pivoting. No n-by-n dense
-intermediate is formed on this path. Each inner solve costs one LU
+shift-invert Lanczos (ARPACK). One object, ``LowRankShiftedSystem``,
+owns the pencil ``Q = W + diag(penalty) + mu_perp B B^T`` (mu_perp = 0
+for the global harmonics), its mass A and its shift sigma, and every
+eigensolver takes it alone. It solves with
+``Q - sigma A = Z + mu_perp B B^T``: at its first solve it computes the
+checked sparse LU of Z (``factorize``) and corrects it with a dense
+rank-k' Woodbury system, so building a system costs no factorization.
+Z must be symmetric positive definite or semi-definite: ``factorize``
+orders it by reverse Cuthill-McKee followed by SuperLU's minimum degree
+on Z + Z^T, and factors it in symmetric mode without pivoting. No n-by-n
+dense intermediate is formed on this path. Each inner solve costs one LU
 solve as a rule: the refinement loop on the full system (``_refine``)
 stops once the normwise backward error is at roundoff level, which the
 first Woodbury step usually reaches. When the Ritz pairs ARPACK returns
@@ -19,14 +20,13 @@ Rayleigh-Ritz repair them before the check is final.
 
 Two dense routes exist for cross-checking and for exact constraints:
 ``dense_oracle_eig`` whitens the pencil and calls LAPACK, and
-``hard_constraint_eig`` restricts the whitened penalized matrix (the
-sparse part of an unshifted system) to the
-A-orthogonal complement of a given subspace by a congruence with the
-compact Householder reflectors of that subspace's QR (a symmetric
-rank-2k' update), then solves the trailing block. It never forms the
-orthogonal factor, a complement basis or a copy of that block, so its
-memory peak is about one n-by-n array and its cost is the O(n^3)
-``eigh``.
+``hard_constraint_eig`` restricts the whitened penalized matrix (a
+system's ``sparse_part(0.0)``) to the A-orthogonal complement of a
+given subspace by a congruence with the compact Householder reflectors
+of that subspace's QR (a symmetric rank-2k' update), then solves the
+trailing block. It never forms the orthogonal factor, a complement
+basis or a copy of that block, so its memory peak is about one n-by-n
+array and its cost is the O(n^3) ``eigh``.
 
 Thread policy: the shift-invert Lanczos path runs with the bundled
 OpenBLAS pools at one thread (its BLAS calls are too small to gain from
@@ -258,19 +258,26 @@ class _PermutedLU:
 
 
 class LowRankShiftedSystem:
-    """Represents ``Z + mu_perp B B^T`` with solves via Woodbury.
+    """The pencil ``(Q, A)``, solved at the shift sigma via Woodbury.
+
+    ``Q = W + diag(penalty) + mu_perp B B^T``, so
+    ``Q - sigma A = Z + mu_perp B B^T`` with the sparse part
+    ``Z = W + diag(penalty - sigma a)``.
 
     Parameters
     ----------
-    Z : sparse array
-        Sparse symmetric part (stiffness plus penalty, minus any shift
-        times the mass).
-    B : ndarray of shape (n, k')
+    W : sparse array
+        Sparse symmetric part of Q without the penalty (the stiffness).
+    B : ndarray of shape (n, k') or None
         Dense low-rank factor (mass times the avoided subspace).
     mu_perp : float
         Weight of the rank-k' term.
     mass : sparse array or ndarray
-        Lumped mass (used for right-hand sides of the form A b).
+        Lumped mass A (used for right-hand sides of the form A b).
+    penalty : ndarray of shape (n,), optional
+        Diagonal penalty added to W (default none).
+    sigma : float
+        Shift of the solves (default 0).
 
     Notes
     -----
@@ -287,14 +294,35 @@ class LowRankShiftedSystem:
     mu_perp ||B||_2^2. One step usually reaches that floor.
     """
 
-    def __init__(self, Z, B, mu_perp, mass):
-        self.Z = sparse.csr_array(Z)
-        n = self.Z.shape[0]
+    def __init__(self, W, B, mu_perp, mass, penalty=None, sigma=0.0):
+        self.W = W
+        self.mass = mass_diagonal(mass)
+        n = self.mass.size
         self.B = np.zeros((n, 0)) if B is None else np.asarray(B, dtype=np.float64)
         if self.B.ndim != 2 or self.B.shape[0] != n:
             raise ValueError("B must be an (n, k') array")
         self.mu_perp = float(mu_perp)
-        self.mass = mass_diagonal(mass)
+        self.penalty = np.zeros(n) if penalty is None else np.asarray(penalty)
+        self.sigma = float(sigma)
+
+    def q_apply(self, x):
+        """Apply the unshifted Q to a vector or matrix of columns."""
+        y = self.W @ x
+        y = y + (self.penalty * x if x.ndim == 1 else self.penalty[:, None] * x)
+        if self.rank and self.mu_perp != 0.0:
+            y = y + self.mu_perp * (self.B @ (self.B.T @ x))
+        return y
+
+    def sparse_part(self, shift):
+        """``W + diag(penalty - shift a)`` in CSR form."""
+        return sparse.csr_array(
+            self.W + sparse.diags_array(self.penalty - shift * self.mass)
+        )
+
+    @functools.cached_property
+    def Z(self):
+        """The sparse part at the system's own shift."""
+        return self.sparse_part(self.sigma)
 
     @property
     def rank(self):
@@ -396,11 +424,7 @@ def dense_oracle_eig(Q, A):
         canonical column signs.
     """
     a = mass_diagonal(A)
-    n = a.size
-    if n > DENSE_ORACLE_MAX_N:
-        raise ValueError(
-            f"dense oracle limited to {DENSE_ORACLE_MAX_N} vertices, got {n}"
-        )
+    check_dense_size("oracle", a.size)
     if a.min() <= 0.0:
         raise ValueError("mass diagonal must be positive")
     Qd = Q.toarray() if sparse.issparse(Q) else np.asarray(Q, dtype=np.float64)
@@ -419,23 +443,22 @@ _ARPACK_TOL = 1e-10
 _RESIDUAL_TOL = 1e-8
 
 
-def smallest_eigenpairs(q_apply, system, k, sigma, seed=0):
+def smallest_eigenpairs(system, k, seed=0):
     """k smallest eigenpairs of Q psi = lam A psi via shift-invert Lanczos.
 
     Parameters
     ----------
-    q_apply : callable
-        Applies Q to a vector or to a matrix of columns (the residual
-        check, the block polish and the small-problem dense fallback).
     system : LowRankShiftedSystem
-        ``Q - sigma A``: its ``mass`` is the diagonal of A, and its
-        ``solve_shifted`` (a vector, or a block in the polish) computes
-        the LU at its first call, so the dense fallback never factorizes.
+        The pencil: ``q_apply`` applies Q (the Lanczos operator, the
+        residual check, the block polish and the small-problem dense
+        fallback), ``mass`` is the diagonal of A, and ``solve_shifted``
+        solves with ``Q - sigma A`` (a vector, or a block in the
+        polish), computing the LU at its first call, so the dense
+        fallback never factorizes. Its ``sigma`` must lie strictly
+        below the smallest eigenvalue (small negative values work for
+        positive semi-definite Q).
     k : int
         Number of eigenpairs, ``1 <= k <= n``.
-    sigma : float
-        Shift strictly below the smallest eigenvalue (small negative
-        values work for positive semi-definite Q).
     seed : int
         Seeds the deterministic Lanczos starting vector.
 
@@ -475,7 +498,7 @@ def smallest_eigenpairs(q_apply, system, k, sigma, seed=0):
                 f"k={k} too close to n={n} for the iterative path and n "
                 f"exceeds the dense guard {DENSE_ORACLE_MAX_N}"
             )
-        lam, Psi = dense_oracle_eig(q_apply(np.eye(n)), a)
+        lam, Psi = dense_oracle_eig(system.q_apply(np.eye(n)), a)
         polish_rounds = 0
     else:
         # a restart can purge one copy of a degenerate pair sitting
@@ -485,29 +508,29 @@ def smallest_eigenpairs(q_apply, system, k, sigma, seed=0):
         ncv = min(n, max(2 * k_solve + 10, k_solve + 2))
         v0 = np.random.default_rng(seed).uniform(-1.0, 1.0, n)
         A_op = sparse.csr_array(sparse.diags_array(a))
-        Q_op = LinearOperator((n, n), matvec=q_apply, dtype=np.float64)
+        Q_op = LinearOperator((n, n), matvec=system.q_apply, dtype=np.float64)
         OPinv = LinearOperator((n, n), matvec=system.solve_shifted, dtype=np.float64)
         with _serial_blas():
             try:
                 lam, Psi = eigsh(
-                    Q_op, k=k_solve, M=A_op, sigma=sigma, OPinv=OPinv,
+                    Q_op, k=k_solve, M=A_op, sigma=system.sigma, OPinv=OPinv,
                     which="LM", v0=v0, ncv=ncv, tol=_ARPACK_TOL,
                 )
             except ArpackNoConvergence as exc:
                 raise NumericalError(
-                    f"eigensolver did not converge for k={k} (sigma={sigma}); "
+                    f"eigensolver did not converge for k={k} (sigma={system.sigma}); "
                     "try a different shift or a larger subspace"
                 ) from exc
         order = np.argsort(lam)
         lam, Psi = lam[order], Psi[:, order]
         polish_rounds = _POLISH_ROUNDS
     with _serial_blas():
-        failure = _residual_failure(q_apply, a, lam[:k], Psi[:, :k])
+        failure = _residual_failure(system, lam[:k], Psi[:, :k])
         for _ in range(polish_rounds):
             if failure is None:
                 break
-            lam, Psi = _block_polish(q_apply, system, Psi)
-            failure = _residual_failure(q_apply, a, lam[:k], Psi[:, :k])
+            lam, Psi = _block_polish(system, Psi)
+            failure = _residual_failure(system, lam[:k], Psi[:, :k])
         if failure is not None:
             raise NumericalError(failure)
         # a sign flip negates the residual exactly, so the check holds
@@ -518,7 +541,7 @@ def smallest_eigenpairs(q_apply, system, k, sigma, seed=0):
 _POLISH_ROUNDS = 3
 
 
-def _block_polish(q_apply, system, Psi):
+def _block_polish(system, Psi):
     """One shift-invert subspace step on the block Psi, then Rayleigh-Ritz.
 
     Returns the Ritz values ascending and A-orthonormal Ritz vectors of
@@ -526,16 +549,17 @@ def _block_polish(q_apply, system, Psi):
     """
     a = system.mass
     Y, _ = qr(system.solve_shifted(a[:, None] * Psi), mode="economic")
-    lam, C = eigh(Y.T @ q_apply(Y), Y.T @ (a[:, None] * Y))
+    lam, C = eigh(Y.T @ system.q_apply(Y), Y.T @ (a[:, None] * Y))
     return lam, Y @ C
 
 
-def _residual_failure(q_apply, a, lam, Psi):
+def _residual_failure(system, lam, Psi):
     """Message naming the worst pair over the residual bound, or None.
 
     The bound is ``_RESIDUAL_TOL * max(1, |lam|) * |A psi|`` per pair.
     """
-    residuals = q_apply(Psi) - (a[:, None] * Psi) * lam[None, :]
+    a = system.mass
+    residuals = system.q_apply(Psi) - (a[:, None] * Psi) * lam[None, :]
     res_norms = np.linalg.norm(residuals, axis=0)
     ref = _RESIDUAL_TOL * np.maximum(1.0, np.abs(lam)) * np.linalg.norm(
         a[:, None] * Psi, axis=0
@@ -591,8 +615,8 @@ def hard_constraint_eig(Z, A, Phi, k):
     Parameters
     ----------
     Z : sparse array
-        The penalized matrix, as the sparse part of an unshifted
-        ``build_lmh_operator`` system; it is never factorized.
+        The penalized matrix, a system's ``sparse_part(0.0)``; it is
+        never factorized.
     A : sparse array or ndarray
         Diagonal mass.
     Phi : ndarray of shape (n, k')

@@ -37,7 +37,6 @@ class TestBasisFile:
         np.testing.assert_array_equal(back.functions, basis.functions)
         np.testing.assert_array_equal(back.spectrum, basis.spectrum)
         assert back.kind == "MH"
-        assert np.all(np.isnan(back.dirichlet))
 
     def test_rejects_malformed_header(self, tmp_path):
         path = tmp_path / "b.txt"
@@ -127,7 +126,7 @@ class TestExactBytes:
         M = self.VALUES[:6].reshape(2, 3)
         rows = " ".join(self.TEXT[:3]) + "\n" + " ".join(self.TEXT[3:6]) + "\n"
         basis = SpectralBasis(functions=M, spectrum=self.VALUES[[1, 0, 4]],
-                              dirichlet=np.zeros(3), kind="MH")
+                              kind="MH")
         bp, sp, cp = tmp_path / "b.txt", tmp_path / "s.txt", tmp_path / "c.txt"
         lmhio.save_basis(basis, bp, sp)
         lmhio.save_cmatrix(M, cp)

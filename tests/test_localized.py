@@ -26,7 +26,12 @@ from lmh.localized import (
     weyl_slope,
 )
 from lmh.mesh import MeshError, TriMesh
-from lmh.solvers import NumericalError, default_shift
+from lmh.solvers import (
+    NumericalError,
+    default_shift,
+    hard_constraint_eig,
+    smallest_eigenpairs,
+)
 from lmh.synth import grid_mesh, patch_vertices
 
 from oracles import (
@@ -110,13 +115,12 @@ class TestBuildOperator:
         # sigma = 0 leaves the sparse part singular (Z = W): building
         # succeeds, since the LU is computed at the first solve, and that
         # solve asks for a negative shift
-        system, _ = build_lmh_operator(W, A, Region(u), None, 0.0, 0.0)
+        system, _ = build_lmh_operator(W, A, Region(u), None, 0.0, 0.0,
+                                       sigma=0.0)
         np.testing.assert_array_equal(system.Z.toarray(), W.toarray())
         with pytest.raises(NumericalError, match="negative shift"):
             system.solve_shifted(np.ones(unit_square.n_vertices))
-        sigma = default_shift(W)
-        _, q_apply = build_lmh_operator(W, A, Region(u), None, 0.0, 0.0,
-                                        sigma=sigma)
+        _, q_apply = build_lmh_operator(W, A, Region(u), None, 0.0, 0.0)
         x = rng.standard_normal(unit_square.n_vertices)
         np.testing.assert_allclose(q_apply(x), W @ x, atol=1e-14)
 
@@ -167,6 +171,57 @@ class TestBuildOperator:
             build_lmh_operator(
                 W, A, np.ones(unit_square.n_vertices - 1), None, 0.0, 0.0
             )
+
+
+class TestOneSystem:
+    """``compute_lmh`` builds one system, at the default shift, for
+    every path."""
+
+    @pytest.fixture
+    def setup(self, unit_square):
+        W, A = assemble_stiffness(unit_square), assemble_mass(unit_square)
+        inside = patch_vertices(unit_square, (0.25, 0.75), (0.25, 0.75))
+        region = Region.binary(unit_square.n_vertices, inside)
+        phi = compute_mh(unit_square, 5, W=W, A=A).functions
+        return unit_square, W, A, region, phi
+
+    @pytest.fixture
+    def systems(self, monkeypatch):
+        """A list that grows by one entry per system built."""
+        made = []
+        init = solvers.LowRankShiftedSystem.__init__
+
+        def recording_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            made.append(self)
+
+        monkeypatch.setattr(solvers.LowRankShiftedSystem, "__init__", recording_init)
+        return made
+
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_one_build_per_call(self, setup, systems, solver):
+        mesh, W, A, region, phi = setup
+        basis = compute_lmh(mesh, region, 6, 5, phi=phi, solver=solver, W=W, A=A)
+        assert len(systems) == 1
+        assert systems[0].sigma == default_shift(W) == basis.params["sigma"]
+
+    def test_hard_solves_the_unshifted_sparse_part(self, setup):
+        mesh, W, A, region, phi = setup
+        basis = compute_lmh(mesh, region, 6, 5, mu_r=100.0, mu_perp=1e5,
+                            phi=phi, solver="hard", W=W, A=A)
+        Z = build_lmh_operator(W, A, region, phi, 100.0, 1e5, sigma=0.0)[0].Z
+        lam, Psi = hard_constraint_eig(Z, A, phi, 6)
+        np.testing.assert_array_equal(basis.spectrum, lam)
+        np.testing.assert_array_equal(basis.functions, Psi)
+
+    def test_sparse_part_at_zero_is_the_unshifted_z(self, setup):
+        _, W, A, region, phi = setup
+        shifted, _ = build_lmh_operator(W, A, region, phi, 100.0, 1e5)
+        unshifted, _ = build_lmh_operator(W, A, region, phi, 100.0, 1e5, sigma=0.0)
+        assert shifted.sigma < 0.0 == unshifted.sigma
+        Z0, Z = shifted.sparse_part(0.0), unshifted.Z
+        for part in ("data", "indices", "indptr"):
+            np.testing.assert_array_equal(getattr(Z0, part), getattr(Z, part))
 
 
 class TestComputeLmh:
@@ -688,7 +743,9 @@ class TestDisconnectedMesh:
 
     def test_two_zero_eigenvalues_with_a_larger_shift(self, two_grids):
         mesh, expect = two_grids
-        lam = compute_mh(mesh, 3, sigma=-1e-2).spectrum
+        W, A = assemble_stiffness(mesh), assemble_mass(mesh)
+        system, _ = build_lmh_operator(W, A, None, None, 0.0, 0.0, sigma=-1e-2)
+        lam = smallest_eigenpairs(system, 3)[0]
         np.testing.assert_allclose(lam, expect, rtol=1e-8, atol=1e-10)
         assert abs(lam[1]) <= 1e-10 and lam[2] > 9.0
 
