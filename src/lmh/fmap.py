@@ -84,12 +84,15 @@ def build_fmap(basis_x, basis_y, p2p, A_y):
     return FunctionalMap(C=C, basis_x=basis_x, basis_y=basis_y)
 
 
-def recover_p2p(fmap, basis_x=None, basis_y=None, chunk=2048):
+def recover_p2p(fmap, basis_x=None, basis_y=None, chunk=512):
     """Point-to-point map from a functional map by exact nearest neighbor.
 
     Each Y-vertex embedding row is transported through C and matched to
     the nearest X-vertex embedding row in Euclidean norm; ties resolve
-    to the lowest index. The scan is exact (chunked distance matrix).
+    to the lowest index. The indices equal ``cdist(...).argmin(axis=1)``:
+    squared distances of ``chunk`` rows at a time come from one GEMM,
+    and a row whose minimum they do not separate beyond their rounding
+    error is decided by ``cdist`` on its candidate columns.
 
     Parameters
     ----------
@@ -105,15 +108,47 @@ def recover_p2p(fmap, basis_x=None, basis_y=None, chunk=2048):
     C = getattr(fmap, "C", fmap)
     basis_x = basis_x if basis_x is not None else fmap.basis_x
     basis_y = basis_y if basis_y is not None else fmap.basis_y
-    emb_x = basis_x.functions
-    queries = basis_y.functions @ C  # (n_Y, m_X)
+    # float64 throughout, as cdist computes and as the slack below assumes
+    emb_x = np.asarray(basis_x.functions, dtype=np.float64)
+    queries = np.asarray(basis_y.functions @ C, dtype=np.float64)  # (n_Y, m_X)
     if queries.shape[1] != emb_x.shape[1]:
         raise ValueError("C dimensions do not match the basis sizes")
+    # Slack from the standard bound for a length-m dot product in any
+    # summation order, |fl(a.b) - a.b| <= gamma_m |a| |b| with
+    # gamma_m = m u / (1 - m u), u = eps / 2 (Higham, Accuracy and
+    # Stability of Numerical Algorithms, 3.1). Write g = gamma_(m+8).
+    # - GEMM form: |q|^2 and |x|^2 are wrong by at most gamma_m times
+    #   themselves and 2 q.x by 2 gamma_m |q| |x| <= gamma_m (|q|^2 +
+    #   |x|^2); the two additions, on values at most 2 (|q|^2 + |x|^2),
+    #   add 4u (|q|^2 + |x|^2). So |fl(d2) - d2| <= 2 g (|q|^2 + |x|^2).
+    # - cdist: m differences, m squares, the sum and the root give
+    #   cdist^2 = d2 (1 + t), |t| <= gamma_(m+4), and d2 <= 2 (|q|^2 +
+    #   |x|^2), so cdist^2 is also within 2 g (|q|^2 + |x|^2) of d2.
+    # If cdist_j <= cdist_i, then fl(d2)_j <= fl(d2)_i + 8 g (|q|^2 +
+    # R^2) with R = max |x|: cdist's argmin lies in the band below. The
+    # four spare terms of g cover the rounding of the band edge itself.
+    m = emb_x.shape[1]
+    u = 0.5 * np.finfo(np.float64).eps
+    g = (m + 8) * u / (1.0 - (m + 8) * u)
+    x_sq = np.einsum("ij,ij->i", emb_x, emb_x)
+    r_sq = x_sq.max(initial=0.0)
     out = np.empty(queries.shape[0], dtype=np.int64)
     for lo in range(0, queries.shape[0], chunk):
-        hi = min(lo + chunk, queries.shape[0])
-        d = cdist(queries[lo:hi], emb_x)
-        out[lo:hi] = np.argmin(d, axis=1)  # argmin takes the lowest index on ties
+        q = queries[lo : lo + chunk]
+        q_sq = np.einsum("ij,ij->i", q, q)
+        d2 = q @ emb_x.T
+        d2 *= -2.0
+        d2 += x_sq[None, :]
+        d2 += q_sq[:, None]
+        best = d2.argmin(axis=1)
+        slack = 8.0 * g * (q_sq + r_sq)
+        band = d2 <= (d2[np.arange(len(q)), best] + slack)[:, None]
+        for row in np.flatnonzero(band.sum(axis=1) != 1):
+            # a NaN row has an empty band; cdist decides it on all columns
+            cols = np.flatnonzero(band[row]) if band[row].any() else np.arange(len(emb_x))
+            d = cdist(q[row : row + 1], emb_x[cols])
+            best[row] = cols[np.argmin(d)]  # the lowest index on ties
+        out[lo : lo + len(q)] = best
     return out
 
 

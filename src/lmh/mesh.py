@@ -165,7 +165,7 @@ def _content_lines(text):
 def _off_arrays_bulk(text):
     """Vertex and face arrays of a plain OFF file, or None.
 
-    Parses the common shape with one ``np.array`` call per block: an
+    Parses the common shape with one ``np.loadtxt`` call per block: an
     ``OFF`` line, a count line, then exactly three coordinates on each
     vertex line and ``3 i j k`` on each face line, with no comments.
     Anything else returns None and goes through the token parser, which
@@ -179,13 +179,17 @@ def _off_arrays_bulk(text):
             return None
         counts = lines[1].split()
         nv, nf = int(counts[0]), int(counts[1])
-        vertices = np.array(
-            [line.split() for line in lines[2 : 2 + nv]], dtype=np.float64
-        )
-        faces = np.array(
-            [line.split() for line in lines[2 + nv : 2 + nv + nf]], dtype=np.int64
-        )
-    except (IndexError, ValueError, OverflowError):
+    except (IndexError, ValueError):
+        return None
+    # loadtxt warns on a block without data; such files, and short ones,
+    # are left to the token parser
+    if (nv < 1 or nf < 1 or len(lines) < 2 + nv + nf
+            or not (lines[2].strip() and lines[2 + nv].strip())):
+        return None
+    try:
+        vertices = np.loadtxt(lines[2 : 2 + nv], dtype=np.float64, ndmin=2)
+        faces = np.loadtxt(lines[2 + nv : 2 + nv + nf], dtype=np.int64, ndmin=2)
+    except (ValueError, OverflowError):
         return None
     if vertices.shape != (nv, 3) or faces.shape != (nf, 4) or np.any(faces[:, 0] != 3):
         return None

@@ -1,13 +1,16 @@
 """Sparse factorization, low-rank shifted solves and eigensolvers.
 
 The fast path solves the generalized problem Q psi = lam A psi with
-shift-invert Lanczos (ARPACK). One object, ``LowRankShiftedSystem``,
-owns the pencil ``Q = W + diag(penalty) + mu_perp B B^T`` (mu_perp = 0
-for the global harmonics), its mass A and its shift sigma, and every
+standard-mode shift-invert Lanczos (ARPACK) on the A-whitened pencil
+S^-1 Q S^-1, S = A^(1/2): the diagonal mass is folded into the inverted
+operator, so each Lanczos step is one round trip to Python and one
+shifted solve. One object, ``LowRankShiftedSystem``, owns the pencil
+``Q = W + diag(penalty) + mu_perp B B^T`` (mu_perp = 0 for the global
+harmonics), its positive mass A and its shift sigma, and every
 eigensolver takes it alone. It solves with
 ``Q - sigma A = Z + mu_perp B B^T``: at its first solve it computes the
-checked sparse LU of Z (``factorize``) and corrects it with a dense
-rank-k' Woodbury system, so building a system costs no factorization.
+checked sparse LU of Z (``factorize``) and the dense n-by-k' Woodbury
+correction, so building a system costs no factorization.
 Z must be symmetric positive definite or semi-definite: ``factorize``
 orders it by reverse Cuthill-McKee followed by SuperLU's minimum degree
 on Z + Z^T, and factors it in symmetric mode without pivoting. No n-by-n
@@ -44,7 +47,7 @@ from pathlib import Path
 import numpy as np
 import scipy
 from scipy import sparse
-from scipy.linalg import blas, eigh, lu_factor, lu_solve, qr
+from scipy.linalg import blas, eigh, qr
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
@@ -123,6 +126,20 @@ def _serial_blas():
     finally:
         for (_, set_), count in zip(controls, saved):
             set_(count)
+
+
+def _positive_mass(A):
+    """Diagonal of the mass A, which every solver path needs positive.
+
+    Raises
+    ------
+    ValueError
+        If an entry is zero, negative or NaN.
+    """
+    a = mass_diagonal(A)
+    if not np.all(a > 0.0):
+        raise ValueError("mass diagonal must be positive")
+    return a
 
 
 def _fro(x):
@@ -273,7 +290,8 @@ class LowRankShiftedSystem:
     mu_perp : float
         Weight of the rank-k' term.
     mass : sparse array or ndarray
-        Lumped mass A (used for right-hand sides of the form A b).
+        Lumped mass A (used for right-hand sides of the form A b); a
+        zero, negative or NaN entry raises ValueError.
     penalty : ndarray of shape (n,), optional
         Diagonal penalty added to W (default none).
     sigma : float
@@ -283,12 +301,13 @@ class LowRankShiftedSystem:
     -----
     Z is factorized once, at the first solve, by ``factorize``; a
     singular, non-symmetric or non-positive-diagonal Z raises there.
-    The correction block ``Gamma = Z^{-1} (mu_perp B)`` and the LU of
-    the k'-by-k' matrix ``I + B^T Gamma`` are computed once at first
+    The correction block ``Gamma = Z^{-1} (mu_perp B)`` and the n-by-k'
+    product ``Gamma (I + B^T Gamma)^{-1}`` are computed once at first
     solve and reused for every subsequent right-hand side; Gamma is
     refined against Z (``_refine``, at most 3 steps, bound ||Z||_1). A
-    Woodbury step costs one bare LU solve of Z; the refinement loop of
-    ``solve_shifted`` around it, on the full system, stops at a
+    Woodbury step costs one bare LU solve of Z and two products with
+    n-by-k' blocks; the refinement loop of ``solve_shifted`` around it,
+    on the full system, stops at a
     ``_SOLVE_RTOL`` relative residual or at the backward-error floor
     measured against the cached bound ``norm_bound`` = ||Z||_1 +
     mu_perp ||B||_2^2. One step usually reaches that floor.
@@ -296,7 +315,7 @@ class LowRankShiftedSystem:
 
     def __init__(self, W, B, mu_perp, mass, penalty=None, sigma=0.0):
         self.W = W
-        self.mass = mass_diagonal(mass)
+        self.mass = _positive_mass(mass)
         n = self.mass.size
         self.B = np.zeros((n, 0)) if B is None else np.asarray(B, dtype=np.float64)
         if self.B.ndim != 2 or self.B.shape[0] != n:
@@ -358,15 +377,16 @@ class LowRankShiftedSystem:
         )
 
     @functools.cached_property
-    def _inner_lu(self):
-        return lu_factor(np.eye(self.rank) + self.B.T @ self._gamma)
+    def _correction(self):
+        """``Gamma (I + B^T Gamma)^-1``, so a Woodbury step is one GEMV pair."""
+        inner = np.eye(self.rank) + self.B.T @ self._gamma
+        return np.linalg.solve(inner.T, self._gamma.T).T
 
     def _woodbury_step(self, rhs):
         xi = self._lu.solve(rhs)
         if self.rank == 0 or self.mu_perp == 0.0:
             return xi
-        eta = lu_solve(self._inner_lu, self.B.T @ xi)
-        return xi - self._gamma @ eta
+        return xi - self._correction @ (self.B.T @ xi)
 
     def solve_shifted(self, rhs):
         """Solve ``(Z + mu_perp B B^T) x = rhs`` for a raw right-hand side."""
@@ -423,10 +443,8 @@ def dense_oracle_eig(Q, A):
         All n eigenvalues ascending and A-orthonormal eigenvectors with
         canonical column signs.
     """
-    a = mass_diagonal(A)
+    a = _positive_mass(A)
     check_dense_size("oracle", a.size)
-    if a.min() <= 0.0:
-        raise ValueError("mass diagonal must be positive")
     Qd = Q.toarray() if sparse.issparse(Q) else np.asarray(Q, dtype=np.float64)
     s = np.sqrt(a)
     M = Qd / np.outer(s, s)
@@ -449,9 +467,9 @@ def smallest_eigenpairs(system, k, seed=0):
     Parameters
     ----------
     system : LowRankShiftedSystem
-        The pencil: ``q_apply`` applies Q (the Lanczos operator, the
-        residual check, the block polish and the small-problem dense
-        fallback), ``mass`` is the diagonal of A, and ``solve_shifted``
+        The pencil: ``q_apply`` applies Q (the residual check, the block
+        polish and the small-problem dense fallback), ``mass`` is the
+        positive diagonal of A, and ``solve_shifted``
         solves with ``Q - sigma A`` (a vector, or a block in the
         polish), computing the LU at its first call, so the dense
         fallback never factorizes. Its ``sigma`` must lie strictly
@@ -476,6 +494,15 @@ def smallest_eigenpairs(system, k, seed=0):
 
     Notes
     -----
+    With S = diag(sqrt(a)), ARPACK runs standard-mode shift-invert
+    (mode 3 without a mass matrix) on ``H = S^-1 Q S^-1``, whose
+    eigenvalues are the pencil's: its inverted operator
+    ``(H - sigma I)^-1 y = S solve_shifted(S y)`` is the only callback,
+    one per Lanczos step, and the start vector is ``S v0``. The Krylov
+    space is S times that of the generalized mode, so the Ritz values
+    agree with it to roundoff; the orthonormal Ritz vectors are
+    unwhitened in place (``Psi = S^-1 Phi``) and are A-orthonormal.
+
     ARPACK's tolerance is relative to the largest Ritz value of the
     inverted operator, and single-vector Lanczos separates a degenerate
     pair only through roundoff, so a returned pair can miss the residual
@@ -507,20 +534,29 @@ def smallest_eigenpairs(system, k, seed=0):
         k_solve = min(k + 6, n - 2)
         ncv = min(n, max(2 * k_solve + 10, k_solve + 2))
         v0 = np.random.default_rng(seed).uniform(-1.0, 1.0, n)
-        A_op = sparse.csr_array(sparse.diags_array(a))
-        Q_op = LinearOperator((n, n), matvec=system.q_apply, dtype=np.float64)
-        OPinv = LinearOperator((n, n), matvec=system.solve_shifted, dtype=np.float64)
+        # the whitened pencil: H = S^-1 Q S^-1 with S = diag(sqrt(a)) has
+        # the same eigenvalues, eigenvectors S psi, and
+        # (H - sigma I)^-1 = S (Q - sigma A)^-1 S; mode 3 calls only OPinv
+        s = np.sqrt(a)
+        H_op = LinearOperator(
+            (n, n), matvec=lambda y: system.q_apply(y / s) / s, dtype=np.float64
+        )
+        OPinv = LinearOperator(
+            (n, n), matvec=lambda y: s * system.solve_shifted(s * y),
+            dtype=np.float64,
+        )
         with _serial_blas():
             try:
                 lam, Psi = eigsh(
-                    Q_op, k=k_solve, M=A_op, sigma=system.sigma, OPinv=OPinv,
-                    which="LM", v0=v0, ncv=ncv, tol=_ARPACK_TOL,
+                    H_op, k=k_solve, sigma=system.sigma, OPinv=OPinv,
+                    which="LM", v0=s * v0, ncv=ncv, tol=_ARPACK_TOL,
                 )
             except ArpackNoConvergence as exc:
                 raise NumericalError(
                     f"eigensolver did not converge for k={k} (sigma={system.sigma}); "
                     "try a different shift or a larger subspace"
                 ) from exc
+        Psi /= s[:, None]
         order = np.argsort(lam)
         lam, Psi = lam[order], Psi[:, order]
         polish_rounds = _POLISH_ROUNDS
@@ -634,7 +670,7 @@ def hard_constraint_eig(Z, A, Phi, k):
     ValueError
         Above the ``HARD_PATH_MAX_N`` dense guard, or for invalid k.
     """
-    a = mass_diagonal(A)
+    a = _positive_mass(A)
     n = a.size
     check_dense_size("hard", n)
     kprime = Phi.shape[1]

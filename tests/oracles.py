@@ -119,3 +119,24 @@ def constrained_pencil_eig(Q, a, phi):
     H = 0.5 * (H + H.T)
     lam, Y = np.linalg.eigh(H)
     return lam, C @ Y
+
+
+def nearest_index(queries, points):
+    """Index of the nearest point for each query, in exact arithmetic.
+
+    Squared distances are summed as Fractions of the float inputs, so
+    no rounding decides a comparison; ties go to the lowest index.
+    """
+    from fractions import Fraction
+
+    pts = [[Fraction(float(t)) for t in row] for row in np.asarray(points)]
+    out = []
+    for q in np.asarray(queries):
+        q = [Fraction(float(t)) for t in q]
+        best, best_d = -1, None
+        for j, p in enumerate(pts):
+            d = sum((a - b) ** 2 for a, b in zip(q, p))
+            if best_d is None or d < best_d:
+                best, best_d = j, d
+        out.append(best)
+    return np.array(out, dtype=np.int64)

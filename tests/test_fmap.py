@@ -12,11 +12,11 @@ from lmh.fmap import (
     recover_p2p,
     stack_bases,
 )
-from lmh.localized import Region, compute_lmh, compute_mh
+from lmh.localized import Region, SpectralBasis, compute_lmh, compute_mh
 from lmh.mesh import TriMesh
 from lmh.synth import bump_sphere, cap_vertices, grid_mesh
 
-from oracles import all_pairs_shortest, triangle_area
+from oracles import all_pairs_shortest, nearest_index, triangle_area
 
 
 def oracle_area(mesh):
@@ -110,6 +110,68 @@ class TestRecoverP2p:
         basis = compute_mh(unit_square, 6)
         with pytest.raises(ValueError):
             recover_p2p(np.eye(5), basis_x=basis, basis_y=basis)
+
+
+def embedding(rows):
+    rows = np.asarray(rows, dtype=np.float64)
+    return SpectralBasis(rows, np.zeros(rows.shape[1]), "MH")
+
+
+def nearest(queries, points, chunk=512):
+    points = np.asarray(points, dtype=np.float64)
+    return recover_p2p(np.eye(points.shape[1]), basis_x=embedding(points),
+                       basis_y=embedding(queries), chunk=chunk)
+
+
+class TestNearestIndex:
+    """recover_p2p's matcher against the exact oracle and cdist's argmin."""
+
+    def test_duplicates_ulp_neighbours_and_equidistant_points(self, rng):
+        base = 5.0 + rng.normal(size=(6, 4))  # far from the unit axis points
+        points = np.vstack([
+            base,
+            base[::-1],                        # exact duplicates, later indices
+            np.nextafter(base, np.inf),        # 1 ulp above each coordinate
+            [[1.0, 0.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0],
+             [0.0, 1.0, 0.0, 0.0], [0.0, -1.0, 0.0, 0.0]],
+        ])
+        queries = np.vstack([
+            base,                              # duplicate tie and 1-ulp neighbour
+            np.nextafter(base, np.inf),        # nearest is the 1-ulp row
+            np.zeros((1, 4)),                  # four exactly equidistant points
+            [[0.0, 0.0, 3.0, 0.0]],
+        ])
+        expect = nearest_index(queries, points)
+        np.testing.assert_array_equal(expect[:6], np.arange(6))
+        np.testing.assert_array_equal(expect[6:12], np.arange(12, 18))
+        assert expect[12] == expect[13] == 18
+        np.testing.assert_array_equal(
+            cdist(queries, points).argmin(axis=1), expect
+        )
+        # a generic query cannot tell a row from its 1-ulp neighbour, so
+        # cdist's rounding, not exact arithmetic, decides it
+        queries = np.vstack([queries, 5.0 + rng.normal(size=(5, 4))])
+        expect = cdist(queries, points).argmin(axis=1)
+        for chunk in (1, 4, 512):
+            np.testing.assert_array_equal(nearest(queries, points, chunk), expect)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e3])
+    def test_lattice_near_ties_match_cdist(self, rng, offset):
+        # coordinates a tenth apart and queries halfway put many pairs
+        # within rounding of a tie; the offset makes |q|^2 + |x|^2 - 2 q.x
+        # cancel, so nearly every row goes to the cdist recheck
+        points = offset + 0.1 * rng.integers(-3, 4, size=(300, 5))
+        queries = offset + 0.05 * rng.integers(-7, 8, size=(400, 5))
+        np.testing.assert_array_equal(
+            nearest(queries, points), cdist(queries, points).argmin(axis=1)
+        )
+
+    def test_nan_query_takes_cdist_answer(self):
+        points = np.array([[0.0, 0.0], [1.0, 1.0]])
+        queries = np.array([[np.nan, 0.0], [0.9, 0.9]])
+        np.testing.assert_array_equal(
+            nearest(queries, points), cdist(queries, points).argmin(axis=1)
+        )
 
 
 class TestGeodesicErrorStats:

@@ -1,5 +1,7 @@
 """Mesh loading, validation, geodesics, areas."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,16 @@ vn 0 0 1
 f 1/1/1 2/2/1 3/3/1
 """
 
+
+# OFF bodies after "OFF\n3 1 0\n" and the message each must raise
+OFF_ERRORS = [
+    ("0 0 0\n1 0\n0 1 0\n3 0 1 2\n", "malformed vertex line"),
+    ("0 0 0\n1 0 x\n0 1 0\n3 0 1 2\n", "malformed vertex line"),
+    ("0 0 0\n1 0 0\n0 1 0\n4 0 1 2\n", "face with 4 vertices"),
+    ("0 0 0\n1 0 0\n0 1 0\n3 0 1\n", "truncated face line"),
+    ("0 0 0\n1 0 0\n0 1 0\nx 0 1 2\n", "malformed face line"),
+    ("0 0 0\n1 0 0\n0 1 0\n", "expected 3 vertex and 1 face lines, got 3"),
+]
 
 class TestLoadMesh:
     def test_off_tetrahedron_edge_classification(self):
@@ -144,17 +156,23 @@ class TestLoadMesh:
         np.testing.assert_array_equal(bulk.vertices, mesh.vertices)
         np.testing.assert_array_equal(bulk.faces, mesh.faces)
 
-    @pytest.mark.parametrize("body, match", [
-        ("0 0 0\n1 0\n0 1 0\n3 0 1 2\n", "malformed vertex line"),
-        ("0 0 0\n1 0 x\n0 1 0\n3 0 1 2\n", "malformed vertex line"),
-        ("0 0 0\n1 0 0\n0 1 0\n4 0 1 2\n", "face with 4 vertices"),
-        ("0 0 0\n1 0 0\n0 1 0\n3 0 1\n", "truncated face line"),
-        ("0 0 0\n1 0 0\n0 1 0\nx 0 1 2\n", "malformed face line"),
-        ("0 0 0\n1 0 0\n0 1 0\n", "expected 3 vertex and 1 face lines, got 3"),
-    ])
+    @pytest.mark.parametrize("body, match", OFF_ERRORS)
     def test_off_errors_name_the_problem(self, body, match):
         with pytest.raises(MeshError, match=match):
             load_mesh("OFF\n3 1 0\n" + body, "off")
+
+    @pytest.mark.parametrize("text", [
+        *("OFF\n3 1 0\n" + body for body, _ in OFF_ERRORS),
+        "", "OFF\n", "OFF\n0 0 0\n", "OFF\n1 1 0\n", "OFF\n3 1 0\n\n\n\n\n",
+        "OFF\n1 1 0\n\n3 0 0 0\n", "OFF\n1 1 0\n0 0 0\n\n",
+    ])
+    def test_off_errors_raise_no_warning(self, text):
+        # the bulk parser must hand short and empty blocks to the token
+        # parser instead of letting np.loadtxt warn about them
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MeshError):
+                load_mesh(text, "off")
 
     def test_off_extra_vertex_tokens_and_blank_lines(self):
         # colours after the coordinates and blank lines go through the

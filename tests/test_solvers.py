@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 from scipy.linalg import subspace_angles
-from scipy.sparse.linalg import ArpackNoConvergence, splu
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, splu
 
 from lmh import solvers
 from lmh.fem import (
@@ -391,6 +391,122 @@ class TestSmallestEigenpairs:
         basis = compute_mh(tetra, 4)
         assert basis.spectrum.shape == (4,)
         assert abs(basis.spectrum[0]) <= 1e-8
+
+
+def jittered_grid(seed=3):
+    """A 15x15-vertex grid with interior vertices moved, so A is not uniform."""
+    mesh = grid_mesh(14, 14, width=2.0, height=2.0)
+    v = mesh.vertices.copy()
+    interior = np.all((v[:, :2] > 1e-9) & (v[:, :2] < 2.0 - 1e-9), axis=1)
+    shift = np.random.default_rng(seed).uniform(-0.04, 0.04, size=(interior.sum(), 2))
+    v[interior, :2] += shift
+    return TriMesh(v, mesh.faces)
+
+
+WHITENED_MESHES = {
+    "bump_sphere": lambda: bump_sphere(subdivisions=2, radius=5.0, height=1.0),
+    "jittered_grid": jittered_grid,
+}
+
+
+class TestWhitenedLanczos:
+    """Standard-mode Lanczos on S^-1 Q S^-1, S = A^1/2, against the dense pencil."""
+
+    def test_one_shifted_solve_per_arpack_request(self, monkeypatch, sphere):
+        counts = {"opinv": 0, "inner": 0, "inner_in_eigsh": 0}
+        seen = []
+        real_eigsh = solvers.eigsh
+        real_solve_shifted = LowRankShiftedSystem.solve_shifted
+
+        def counting_solve_shifted(self, rhs):
+            counts["inner"] += 1
+            return real_solve_shifted(self, rhs)
+
+        def spy(A, **kwargs):
+            seen.append(kwargs)
+            inner = kwargs["OPinv"]
+
+            def matvec(y):
+                counts["opinv"] += 1
+                return inner.matvec(y)
+
+            kwargs["OPinv"] = LinearOperator(inner.shape, matvec=matvec,
+                                             dtype=inner.dtype)
+            before = counts["inner"]
+            try:
+                return real_eigsh(A, **kwargs)
+            finally:
+                counts["inner_in_eigsh"] += counts["inner"] - before
+
+        monkeypatch.setattr(solvers, "eigsh", spy)
+        monkeypatch.setattr(LowRankShiftedSystem, "solve_shifted",
+                            counting_solve_shifted)
+        compute_mh(sphere, 8)
+        assert len(seen) == 1
+        assert seen[0].get("M") is None
+        assert counts["opinv"] > 0
+        assert counts["opinv"] == counts["inner_in_eigsh"] == counts["inner"]
+
+    @pytest.mark.parametrize("name", sorted(WHITENED_MESHES))
+    def test_mh_matches_dense_pencil(self, name):
+        mesh = WHITENED_MESHES[name]()
+        W, A = assemble_stiffness(mesh), assemble_mass(mesh)
+        a = mass_diagonal(A)
+        assert a.max() > 1.2 * a.min()
+        k = 12
+        basis = compute_mh(mesh, k, W=W, A=A)
+        lam_o, _ = dense_pencil_eig(W.toarray(), a)
+        np.testing.assert_allclose(basis.spectrum, lam_o[:k], rtol=1e-10, atol=1e-12)
+        gram = basis.functions.T @ (a[:, None] * basis.functions)
+        assert np.abs(gram - np.eye(k)).max() <= 1e-12
+
+    @pytest.mark.parametrize("name", sorted(WHITENED_MESHES))
+    def test_relaxed_lmh_matches_dense_pencil(self, name):
+        mesh = WHITENED_MESHES[name]()
+        W, A = assemble_stiffness(mesh), assemble_mass(mesh)
+        a = mass_diagonal(A)
+        n, k, kprime, mu_r, mu_perp = a.size, 10, 4, 100.0, 1e5
+        phi = compute_mh(mesh, kprime, W=W, A=A).functions
+        # the third of the vertices nearest the first one
+        dist = np.linalg.norm(mesh.vertices - mesh.vertices[0], axis=1)
+        region = Region.binary(n, np.argsort(dist, kind="stable")[: n // 3])
+        basis = compute_lmh(mesh, region, k, kprime, mu_r=mu_r, mu_perp=mu_perp,
+                            phi=phi, W=W, A=A)
+        B = a[:, None] * phi
+        Q = (W.toarray() + np.diag(mu_r * a * (1.0 - region.u) ** 2)
+             + mu_perp * (B @ B.T))
+        lam_o, _ = dense_pencil_eig(Q, a)
+        np.testing.assert_allclose(basis.spectrum, lam_o[:k], rtol=1e-10, atol=1e-12)
+        gram = basis.functions.T @ (a[:, None] * basis.functions)
+        assert np.abs(gram - np.eye(k)).max() <= 1e-12
+
+
+class TestPositiveMass:
+    @pytest.mark.parametrize("bad", [0.0, -1e-3, np.nan])
+    @pytest.mark.parametrize("route", [
+        "system", "mh", "relaxed", "hard", "oracle", "hard_constraint_eig",
+        "dense_oracle_eig",
+    ])
+    def test_nonpositive_mass_entry_is_named(self, unit_square, bad, route):
+        # whitening divides by sqrt(a); mesh input cannot produce such a
+        # mass, a caller-supplied A can
+        W = assemble_stiffness(unit_square)
+        a = mass_diagonal(assemble_mass(unit_square)).copy()
+        a[5] = bad
+        A = sparse.diags_array(a).tocsr()
+        n = a.size
+        region = Region.binary(n, np.arange(30))
+        with pytest.raises(ValueError, match="mass diagonal must be positive"):
+            if route == "system":
+                LowRankShiftedSystem(W, None, 0.0, A)
+            elif route == "mh":
+                compute_mh(unit_square, 5, W=W, A=A)
+            elif route == "hard_constraint_eig":
+                hard_constraint_eig(W, A, np.zeros((n, 0)), 3)
+            elif route == "dense_oracle_eig":
+                dense_oracle_eig(W, A)
+            else:
+                compute_lmh(unit_square, region, 3, 0, W=W, A=A, solver=route)
 
 
 class TestDenseOracle:
