@@ -596,7 +596,8 @@ def restrict_pencil(W, A, region):
 
 
 def verify_upper_bound(
-    mesh, region, kprime, k, mu_r=1e4, mu_perp=None, seed=0, tolerance=1e-3
+    mesh, region, kprime, k, mu_r=1e4, mu_perp=None, seed=0, tolerance=1e-3,
+    W=None, A=None,
 ):
     """Check the localized spectrum against the restricted operator.
 
@@ -621,12 +622,14 @@ def verify_upper_bound(
     tolerance : float
         Relative slack on the right-hand side, absorbing solver error
         (a small absolute floor covers eigenvalues at zero).
+    W, A : sparse arrays, optional
+        Reuse preassembled operators.
 
     Returns
     -------
     BoundReport
     """
-    W, A = _operators(mesh, None, None)
+    W, A = _operators(mesh, W, A)
     W_rr, A_rr, idx = restrict_pencil(W, A, region)
     sub_k = k + kprime
     if sub_k > idx.size:

@@ -1,10 +1,13 @@
 """Sparse factorization, low-rank shifted solves and eigensolvers.
 
 The fast path solves the generalized problem Q psi = lam A psi with
-standard-mode shift-invert Lanczos (ARPACK) on the A-whitened pencil
-S^-1 Q S^-1, S = A^(1/2): the diagonal mass is folded into the inverted
-operator, so each Lanczos step is one round trip to Python and one
-shifted solve. One object, ``LowRankShiftedSystem``, owns the pencil
+shift-invert Lanczos on the A-whitened pencil S^-1 Q S^-1, S = A^(1/2):
+the diagonal mass is folded into the inverted operator, so each Lanczos
+step is one shifted solve. The Lanczos iteration (``eigsh``) is this
+module's own: single-vector, fully reorthogonalized by classical
+Gram-Schmidt with ``dgemv``, thick-restarted, with the restart and the
+Ritz vectors each formed by one matrix product. One object,
+``LowRankShiftedSystem``, owns the pencil
 ``Q = W + diag(penalty) + mu_perp B B^T`` (mu_perp = 0 for the global
 harmonics), its positive mass A and its shift sigma, and every
 eigensolver takes it alone. It solves with
@@ -17,8 +20,8 @@ on Z + Z^T, and factors it in symmetric mode without pivoting. No n-by-n
 dense intermediate is formed on this path. Each inner solve costs one LU
 solve as a rule: the refinement loop on the full system (``_refine``)
 stops once the normwise backward error is at roundoff level, which the
-first Woodbury step usually reaches. When the Ritz pairs ARPACK returns
-miss the residual check, a few shift-invert block steps with
+first Woodbury step usually reaches. When the Ritz pairs of the Lanczos
+iteration miss the residual check, a few shift-invert block steps with
 Rayleigh-Ritz repair them before the check is final.
 
 Two dense routes exist for cross-checking and for exact constraints:
@@ -47,9 +50,9 @@ from pathlib import Path
 import numpy as np
 import scipy
 from scipy import sparse
-from scipy.linalg import blas, eigh, qr
+from scipy.linalg import blas, eigh, lapack, qr
 from scipy.sparse.csgraph import reverse_cuthill_mckee
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
+from scipy.sparse.linalg import splu
 
 from .fem import mass_diagonal
 
@@ -317,7 +320,12 @@ class LowRankShiftedSystem:
         self.W = W
         self.mass = _positive_mass(mass)
         n = self.mass.size
-        self.B = np.zeros((n, 0)) if B is None else np.asarray(B, dtype=np.float64)
+        # column-major, so B^T x is one BLAS dot product per column: with
+        # row-major B its rounding put 42 of the 281 first Woodbury steps
+        # of the k=100 lmh solve at n=19,881 above the refinement floor
+        self.B = (
+            np.zeros((n, 0)) if B is None else np.asfortranarray(B, dtype=np.float64)
+        )
         if self.B.ndim != 2 or self.B.shape[0] != n:
             raise ValueError("B must be an (n, k') array")
         self.mu_perp = float(mu_perp)
@@ -454,11 +462,212 @@ def dense_oracle_eig(Q, A):
     return vals, canonical_signs(Psi)
 
 
-# Ritz convergence tolerance handed to ARPACK
-_ARPACK_TOL = 1e-10
+# relative accuracy of the Ritz values of the inverted operator
+_LANCZOS_TOL = 1e-10
 # acceptance threshold for the verified residuals
 # |Q psi - lam A psi| <= _RESIDUAL_TOL * max(1, |lam|) * |A psi|
 _RESIDUAL_TOL = 1e-8
+# a Gram-Schmidt pass that keeps less than this fraction of the vector's
+# norm has lost digits to cancellation and is repeated (Daniel, Gragg,
+# Kaufman and Stewart, Math. Comp. 1976; the constant is ARPACK's)
+_DGKS_RATIO = 0.717
+# Ritz values smaller than this converge against it instead of themselves
+_EPS23 = np.finfo(np.float64).eps ** (2.0 / 3.0)
+# columns per block of the in-place restart, so its temporary stays small
+_RESTART_COLUMNS = 2048
+
+
+def _orthogonalize(basis, w):
+    """Classical Gram-Schmidt of ``w`` against the columns of ``basis``, in place.
+
+    ``basis`` is F-contiguous with orthonormal columns (the transposed
+    rows of a Lanczos basis), so a pass is two in-place ``dgemv``. A pass
+    that keeps less than ``_DGKS_RATIO`` of the norm is repeated, at most
+    twice.
+
+    Returns
+    -------
+    (ndarray, ndarray, float)
+        The summed coefficients ``basis^T w``, the orthogonalized vector
+        and its norm. The norm is 0.0 when ``w`` lies in the span of
+        ``basis`` to working precision.
+    """
+    norm = blas.dnrm2(w)
+    coef = np.zeros(basis.shape[1])
+    for _ in range(3):
+        c = blas.dgemv(1.0, basis, w, trans=1)
+        w = blas.dgemv(-1.0, basis, c, beta=1.0, y=w, overwrite_y=1)
+        coef += c
+        previous, norm = norm, blas.dnrm2(w)
+        if norm > _DGKS_RATIO * previous:
+            return coef, w, norm
+    return coef, w, 0.0
+
+
+def _lanczos_steps(op, V, T, start, rng):
+    """Extend the orthonormal rows ``V[:start + 1]`` to ``V[:m + 1]``, m = len(T).
+
+    Step j first removes ``beta_{j-1} V[j-1]`` and ``alpha_j V[j]`` from
+    ``w = op(V[j])``: those are its large components, so the classical
+    Gram-Schmidt pass against all of ``V[:j + 1]`` that follows only
+    removes roundoff and rarely needs its repetition. The first step
+    after a restart leaves the coupling to the kept Ritz vectors to
+    Gram-Schmidt. The summed coefficients fill row and column j of T
+    up to the diagonal, and the norm beta_j couples V[j] and V[j + 1].
+    The off-tridiagonal coefficients are roundoff amplified by a large
+    eigenvalue of op; keeping them, rather than a tridiagonal T, cut
+    the worst residual of ``compute_mh(icosphere(3), 21)`` from 4% of
+    the check's bound to 0.7%. A result in the span of V (an invariant
+    subspace) gives beta_j = 0, and the iteration goes on from op of a
+    random vector, or from the random vector itself when op maps it into
+    the span of V, orthogonalized against V. Returns the last beta, the
+    norm of the residual whose direction is ``V[m]``.
+    """
+    m = T.shape[0]
+    for j in range(start, m):
+        # a copy: the Gram-Schmidt passes overwrite it
+        w = np.array(op(V[j]), dtype=np.float64)
+        previous = T[j - 1, j] if j > start else 0.0
+        if previous:
+            w = blas.daxpy(V[j - 1], w, a=-previous)
+        alpha = blas.ddot(V[j], w)
+        w = blas.daxpy(V[j], w, a=-alpha)
+        basis = V[: j + 1].T
+        coef, w, beta = _orthogonalize(basis, w)
+        coef[j] += alpha
+        if previous:
+            coef[j - 1] += previous
+        T[: j + 1, j] = T[j, : j + 1] = coef
+        if j + 1 < m:
+            T[j, j + 1] = T[j + 1, j] = beta
+            if beta == 0.0:
+                # filtered by op like the start, unless op maps it into V;
+                # orthogonal to V first, so no converged eigenvector of a
+                # large eigenvalue has to cancel out of op(r)
+                _, r, _ = _orthogonalize(basis, rng.uniform(-1.0, 1.0, w.size))
+                w = np.array(op(r), dtype=np.float64)
+                _, w, beta = _orthogonalize(basis, w)
+                if beta == 0.0:
+                    _, w, beta = _orthogonalize(basis, r)
+        if beta > 0.0:
+            V[j + 1] = w / beta
+    return beta
+
+
+def _ritz_pairs(T):
+    """Eigenpairs of the symmetric T, by decreasing magnitude of the eigenvalue.
+
+    LAPACK's MRRR driver (``dsyevr``) keeps the small eigenpairs of a T
+    graded by a shift-invert accurate relative to themselves. Divide and
+    conquer (``dsyevd``, behind ``numpy.linalg.eigh``) treats couplings
+    below eps times the largest eigenvalue as zero: with a shift near a
+    zero eigenvalue, theta ~ 3e7, that left residuals up to 5e-6 on the
+    16 smallest eigenpairs of the 121-vertex unit-square grid.
+    """
+    theta, S, _, _, info = lapack.dsyevr(T, lower=1)
+    if info:
+        raise NumericalError(
+            f"eigensolver of the projected matrix failed (info={info})"
+        )
+    order = np.argsort(-np.abs(theta), kind="stable")
+    return theta[order], S[:, order]
+
+
+def eigsh(op, v0, k, ncv, tol, rng, maxiter=None):
+    """k largest-magnitude eigenpairs of a symmetric operator.
+
+    Single-vector Lanczos with full reorthogonalization and thick
+    restarts (Wu and Simon, SIAM J. Matrix Anal. Appl. 2000; Stewart's
+    Krylov-Schur, SIAM J. Matrix Anal. Appl. 2001). ``smallest_eigenpairs``
+    calls it through this module-level name, so a wrapper installed as
+    ``lmh.solvers.eigsh`` (a tracer timing the Krylov iteration apart
+    from the shifted solves inside it, or a test) sees every call.
+
+    Parameters
+    ----------
+    op : callable
+        Applies the symmetric n-by-n operator to a vector.
+    v0 : ndarray of shape (n,)
+        Starting vector; ``op(v0)`` must be nonzero.
+    k : int
+        Number of eigenpairs, ``1 <= k <= ncv - 2``.
+    ncv : int
+        Dimension of the Krylov basis, at most n.
+    tol : float
+        A Ritz value theta has converged when its residual estimate is at
+        most ``tol * max(eps^(2/3), |theta|)``.
+    rng : numpy.random.Generator
+        Draws the vector the iteration goes on from when it finds an
+        invariant subspace.
+    maxiter : int, optional
+        Lanczos passes allowed, each but the first after a restart
+        (default 10 n, ARPACK's default in scipy).
+
+    Returns
+    -------
+    (ndarray, ndarray)
+        The k eigenvalues by decreasing magnitude, and orthonormal
+        eigenvectors as the columns of a C-ordered (n, k) array.
+
+    Raises
+    ------
+    NumericalError
+        If fewer than k Ritz pairs converge in ``maxiter`` passes.
+
+    Notes
+    -----
+    The first basis vector is ``op(v0)``, normalized: it damps the
+    components of v0 along eigenvalues small next to the largest one.
+    After a shift just below a zero eigenvalue, theta ~ 3e7 otherwise
+    spreads over the first rows of T: from the random start itself, the
+    16 smallest eigenpairs of the 121-vertex unit-square grid kept
+    residuals up to 7e-8, against 1e-13.
+
+    The basis is stored as the rows of V, shape (ncv + 1, n), so each
+    Gram-Schmidt pass is an in-place ``dgemv`` on a contiguous block. A
+    pass ends with ``op V[:ncv]^T = V[:ncv]^T T + beta V[ncv]^T e^T``,
+    T symmetric; with ``T = S diag(theta) S^T`` (``_ritz_pairs``) the
+    residual estimate of Ritz pair i is ``|beta S[-1, i]|``. Unless k
+    pairs have converged, the restart keeps
+    ``p = min(k + min(nconv, (ncv - k) // 2), ncv - 2)`` Ritz vectors,
+    the count ARPACK keeps: ``V[:p] = S[:, :p]^T V[:ncv]`` in place, one
+    block of columns at a time, then V[p] = V[ncv], and T becomes
+    ``diag(theta[:p])``; the next step's Gram-Schmidt coefficients
+    border it with the arrow ``beta S[-1, :p]``.
+    The Ritz vectors are returned as ``V[:ncv]^T S[:, :k]``, one GEMM.
+    """
+    n = v0.size
+    if not 1 <= k <= ncv - 2 or ncv > n:
+        raise ValueError(
+            f"need 1 <= k <= ncv - 2 and ncv <= n, got k={k}, ncv={ncv}, n={n}"
+        )
+    if maxiter is None:
+        maxiter = 10 * n
+    V = np.empty((ncv + 1, n))
+    V[0] = op(v0)
+    V[0] /= np.linalg.norm(V[0])
+    T = np.zeros((ncv, ncv))
+    start = nconv = 0
+    for _ in range(maxiter):
+        beta = _lanczos_steps(op, V, T, start, rng)
+        theta, S = _ritz_pairs(T)
+        bounds = np.abs(beta * S[-1, :k])
+        converged = bounds <= tol * np.maximum(_EPS23, np.abs(theta[:k]))
+        nconv = int(np.count_nonzero(converged))
+        if nconv == k:
+            return theta[:k], V[:ncv].T @ S[:, :k]
+        p = min(k + min(nconv, (ncv - k) // 2), ncv - 2)
+        for c in range(0, n, _RESTART_COLUMNS):
+            cols = slice(c, c + _RESTART_COLUMNS)
+            V[:p, cols] = S[:, :p].T @ V[:ncv, cols]
+        V[p] = V[ncv]
+        T[:] = 0.0
+        T[np.arange(p), np.arange(p)] = theta[:p]
+        start = p
+    raise NumericalError(
+        f"eigensolver did not converge: {nconv} of {k} Ritz pairs after "
+        f"{maxiter} Lanczos passes; try a different shift or a larger subspace"
+    )
 
 
 def smallest_eigenpairs(system, k, seed=0):
@@ -489,28 +698,28 @@ def smallest_eigenpairs(system, k, seed=0):
     Raises
     ------
     NumericalError
-        On ARPACK non-convergence, a failed residual check, or a Z that
-        ``factorize`` finds singular.
+        If the Lanczos iteration does not converge, on a failed residual
+        check, or for a Z that ``factorize`` finds singular.
 
     Notes
     -----
-    With S = diag(sqrt(a)), ARPACK runs standard-mode shift-invert
-    (mode 3 without a mass matrix) on ``H = S^-1 Q S^-1``, whose
-    eigenvalues are the pencil's: its inverted operator
-    ``(H - sigma I)^-1 y = S solve_shifted(S y)`` is the only callback,
-    one per Lanczos step, and the start vector is ``S v0``. The Krylov
-    space is S times that of the generalized mode, so the Ritz values
-    agree with it to roundoff; the orthonormal Ritz vectors are
+    With S = diag(sqrt(a)), ``eigsh`` runs on the inverted operator of
+    the whitened ``H = S^-1 Q S^-1``, whose eigenvalues are the
+    pencil's: ``(H - sigma I)^-1 y = S solve_shifted(S y)``, one shifted
+    solve per Lanczos step, from the start vector ``S v0``, with
+    ``k + 6`` wanted pairs, a basis of ``2 (k + 6) + 10`` vectors and
+    the tolerance ``_LANCZOS_TOL``. Its eigenvalues theta give
+    ``lam = 1 / theta + sigma``; its orthonormal Ritz vectors are
     unwhitened in place (``Psi = S^-1 Phi``) and are A-orthonormal.
 
-    ARPACK's tolerance is relative to the largest Ritz value of the
+    The Lanczos tolerance is relative to each Ritz value of the
     inverted operator, and single-vector Lanczos separates a degenerate
     pair only through roundoff, so a returned pair can miss the residual
     check. Only then, up to ``_POLISH_ROUNDS`` times until the check
     passes, the whole block of Ritz vectors takes one shift-invert
     subspace step (``solve_shifted`` of ``A Psi``), is orthonormalized and
     goes through a Rayleigh-Ritz step with Q and A. A run whose check
-    passes at once returns ARPACK's pairs unchanged. The dense fallback
+    passes at once returns the Lanczos pairs unchanged. The dense fallback
     for ``k > n - 2`` takes the same check without the polish.
     """
     a = system.mass
@@ -519,7 +728,7 @@ def smallest_eigenpairs(system, k, seed=0):
         raise ValueError(f"k must be in [1, {n}], got {k}")
 
     if k > n - 2:
-        # ARPACK needs k <= n - 2; tiny or near-complete requests go dense
+        # Lanczos needs k <= n - 2; tiny or near-complete requests go dense
         if n > DENSE_ORACLE_MAX_N:
             raise ValueError(
                 f"k={k} too close to n={n} for the iterative path and n "
@@ -533,32 +742,24 @@ def smallest_eigenpairs(system, k, seed=0):
         # truncating moves the edge off the requested window
         k_solve = min(k + 6, n - 2)
         ncv = min(n, max(2 * k_solve + 10, k_solve + 2))
-        v0 = np.random.default_rng(seed).uniform(-1.0, 1.0, n)
+        rng = np.random.default_rng(seed)
+        v0 = rng.uniform(-1.0, 1.0, n)
         # the whitened pencil: H = S^-1 Q S^-1 with S = diag(sqrt(a)) has
         # the same eigenvalues, eigenvectors S psi, and
-        # (H - sigma I)^-1 = S (Q - sigma A)^-1 S; mode 3 calls only OPinv
+        # (H - sigma I)^-1 = S (Q - sigma A)^-1 S
         s = np.sqrt(a)
-        H_op = LinearOperator(
-            (n, n), matvec=lambda y: system.q_apply(y / s) / s, dtype=np.float64
-        )
-        OPinv = LinearOperator(
-            (n, n), matvec=lambda y: s * system.solve_shifted(s * y),
-            dtype=np.float64,
-        )
         with _serial_blas():
-            try:
-                lam, Psi = eigsh(
-                    H_op, k=k_solve, sigma=system.sigma, OPinv=OPinv,
-                    which="LM", v0=s * v0, ncv=ncv, tol=_ARPACK_TOL,
-                )
-            except ArpackNoConvergence as exc:
-                raise NumericalError(
-                    f"eigensolver did not converge for k={k} (sigma={system.sigma}); "
-                    "try a different shift or a larger subspace"
-                ) from exc
+            theta, Psi = eigsh(
+                lambda y: s * system.solve_shifted(s * y), s * v0, k_solve,
+                ncv=ncv, tol=_LANCZOS_TOL, rng=rng,
+            )
+        lam = 1.0 / theta + system.sigma
         Psi /= s[:, None]
+        # theta comes by decreasing magnitude, which for a shift below
+        # the spectrum is ascending lam already; reorder only otherwise
         order = np.argsort(lam)
-        lam, Psi = lam[order], Psi[:, order]
+        if np.any(order != np.arange(order.size)):
+            lam, Psi = lam[order], Psi[:, order]
         polish_rounds = _POLISH_ROUNDS
     with _serial_blas():
         failure = _residual_failure(system, lam[:k], Psi[:, :k])

@@ -250,8 +250,9 @@ class TestLmh:
 
 class TestBlasThreadIndependence:
     def test_mh_then_lmh_outputs_match_across_thread_counts(self, tmp_path):
-        # at n=2562 the BLAS calls inside ARPACK are large enough to be
-        # split across threads when the pools are left at the default
+        # at n=2562 the BLAS calls inside the Lanczos iteration are large
+        # enough to be split across threads when the pools are left at the
+        # default
         mesh = tmp_path / "sphere.off"
         write_off(icosphere(4, radius=5.0), mesh)
         region = tmp_path / "region.txt"

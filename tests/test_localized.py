@@ -8,7 +8,7 @@ from scipy import sparse
 from scipy.linalg import subspace_angles
 from scipy.spatial.transform import Rotation
 
-from lmh import solvers
+from lmh import localized, solvers
 from lmh.fem import assemble_mass, assemble_stiffness, mass_diagonal, penalty_weights
 from lmh.localized import (
     SOLVERS,
@@ -670,6 +670,21 @@ class TestVerifyUpperBound:
         with pytest.raises(ValueError, match="vertices"):
             verify_upper_bound(unit_square, region, kprime=5, k=10)
 
+    def test_reuses_prebuilt_operators(self, plane, plane_patch, plane_ops,
+                                       monkeypatch):
+        W, A = plane_ops
+        expect = verify_upper_bound(plane, plane_patch, kprime=0, k=8, mu_r=1e4)
+
+        def no_assembly(mesh):
+            raise AssertionError("operators were assembled again")
+
+        monkeypatch.setattr(localized, "assemble_stiffness", no_assembly)
+        monkeypatch.setattr(localized, "assemble_mass", no_assembly)
+        report = verify_upper_bound(plane, plane_patch, kprime=0, k=8,
+                                    mu_r=1e4, W=W, A=A)
+        assert report.lmh_spectrum.tobytes() == expect.lmh_spectrum.tobytes()
+        assert report.submesh_spectrum.tobytes() == expect.submesh_spectrum.tobytes()
+
 
 class TestWeylSlope:
     def test_exact_line(self):
@@ -751,8 +766,8 @@ class TestDisconnectedMesh:
 
     def test_two_zero_eigenvalues_with_the_default_shift(self, two_grids):
         # the default shift puts both zero eigenvalues at ~2.8e7 after
-        # inversion and ARPACK's tolerance is relative to the largest, so
-        # the third pair misses the residual check until the block polish
+        # inversion, and the third pair misses the residual check until
+        # the block polish
         mesh, expect = two_grids
         lam = compute_mh(mesh, 3).spectrum
         np.testing.assert_allclose(lam, expect, rtol=1e-8, atol=1e-10)

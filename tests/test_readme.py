@@ -12,6 +12,7 @@ import re
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from lmh.cli import run
@@ -29,14 +30,15 @@ def fenced_block(heading, lang):
 
 @pytest.fixture(scope="module")
 def cli_chain(tmp_path_factory):
-    """(argv, exit code, stdout, stderr) per line of the CLI block, and
-    the generated mesh."""
+    """(argv, exit code, stdout, stderr) per line of the CLI block, the
+    generated mesh and the directory the chain ran in."""
     block = fenced_block("Quick start (CLI)", "sh").replace("\\\n", "")
     commands = [argv for line in block.splitlines()
                 if (argv := shlex.split(line, comments=True))]
     results = []
+    workdir = tmp_path_factory.mktemp("readme")
     with pytest.MonkeyPatch.context() as mp:
-        mp.chdir(tmp_path_factory.mktemp("readme"))
+        mp.chdir(workdir)
         for argv in commands:
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -48,11 +50,11 @@ def cli_chain(tmp_path_factory):
                     code = run(argv[1:])
             results.append((argv, code, out.getvalue(), err.getvalue()))
         plane = read_mesh("plane.off")
-    return results, plane
+    return results, plane, workdir
 
 
 def test_cli_block_runs(cli_chain):
-    results, _ = cli_chain
+    results, *_ = cli_chain
     ran = [argv[1] for argv, *_ in results]
     assert ran == ["-c", "region", "mh", "lmh", "gap", "bound", "weyl",
                    "reconstruct"]
@@ -64,13 +66,28 @@ def test_cli_block_runs(cli_chain):
 
 def test_cli_kprimes_sit_at_spectral_gaps(cli_chain):
     # a k' inside a repeated eigenvalue leaves phi undetermined
-    results, plane = cli_chain
+    results, plane, _ = cli_chain
     kprimes = [int(argv[argv.index("--kprime") + 1])
                for argv, *_ in results if "--kprime" in argv]
     assert kprimes
     lam = compute_mh(plane, 21).spectrum
     for kp in kprimes:
         assert lam[kp] - lam[kp - 1] > 1e-6 * lam[kp], (kp, lam[kp - 1], lam[kp])
+
+
+def test_cli_lmh_k_sits_at_a_spectral_gap(cli_chain, monkeypatch):
+    # a k inside a repeated eigenvalue leaves the saved basis undetermined:
+    # rerun the chain's lmh step with one more function and compare
+    results, _, workdir = cli_chain
+    (argv,) = [argv for argv, *_ in results if argv[1] == "lmh"]
+    i = argv.index("--k") + 1
+    k = int(argv[i])
+    monkeypatch.chdir(workdir)
+    wider = [*argv[1:i], str(k + 1), *argv[i + 1:], "--out-dir", "wider"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run(wider) == 0
+    lam = np.loadtxt(workdir / "wider" / "lmh_spectrum.txt")
+    assert lam[k] - lam[k - 1] > 1e-6 * lam[k], (k, lam[k - 1], lam[k])
 
 
 def test_library_block_runs(tmp_path, monkeypatch):

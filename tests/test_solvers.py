@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 from scipy.linalg import subspace_angles
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, splu
+from scipy.sparse.linalg import splu
 
 from lmh import solvers
 from lmh.fem import (
@@ -36,6 +36,7 @@ from lmh.synth import bump_sphere, grid_mesh, icosphere, patch_vertices
 
 
 from oracles import constrained_pencil_eig, dense_pencil_eig
+from test_bench_patches import load_spans
 
 
 def penalized(W, A, region, mu_r=100.0):
@@ -324,6 +325,14 @@ class TestOneLuSolvePerStep:
         assert counts["inner"] > 0
         assert counts["lu"] <= 1.05 * counts["inner"], counts
 
+    def test_low_rank_factor_is_column_major(self, unit_square):
+        # B^T x as one dot product per column keeps the Woodbury step at
+        # the refinement floor; a phi read from a text file is row-major
+        W, A = assemble_stiffness(unit_square), assemble_mass(unit_square)
+        phi = np.ascontiguousarray(compute_mh(unit_square, 4, W=W, A=A).functions)
+        system, _ = build_lmh_operator(W, A, None, phi, 0.0, 1e5)
+        assert system.B.flags.f_contiguous
+
 
 class TestSmallestEigenpairs:
     def test_closed_mesh_null_mode(self, sphere):
@@ -412,9 +421,8 @@ WHITENED_MESHES = {
 class TestWhitenedLanczos:
     """Standard-mode Lanczos on S^-1 Q S^-1, S = A^1/2, against the dense pencil."""
 
-    def test_one_shifted_solve_per_arpack_request(self, monkeypatch, sphere):
-        counts = {"opinv": 0, "inner": 0, "inner_in_eigsh": 0}
-        seen = []
+    def test_one_shifted_solve_per_lanczos_step(self, monkeypatch, sphere):
+        counts = {"op": 0, "inner": 0, "inner_in_eigsh": 0}
         real_eigsh = solvers.eigsh
         real_solve_shifted = LowRankShiftedSystem.solve_shifted
 
@@ -422,19 +430,14 @@ class TestWhitenedLanczos:
             counts["inner"] += 1
             return real_solve_shifted(self, rhs)
 
-        def spy(A, **kwargs):
-            seen.append(kwargs)
-            inner = kwargs["OPinv"]
+        def spy(op, *args, **kwargs):
+            def counting_op(y):
+                counts["op"] += 1
+                return op(y)
 
-            def matvec(y):
-                counts["opinv"] += 1
-                return inner.matvec(y)
-
-            kwargs["OPinv"] = LinearOperator(inner.shape, matvec=matvec,
-                                             dtype=inner.dtype)
             before = counts["inner"]
             try:
-                return real_eigsh(A, **kwargs)
+                return real_eigsh(counting_op, *args, **kwargs)
             finally:
                 counts["inner_in_eigsh"] += counts["inner"] - before
 
@@ -442,10 +445,8 @@ class TestWhitenedLanczos:
         monkeypatch.setattr(LowRankShiftedSystem, "solve_shifted",
                             counting_solve_shifted)
         compute_mh(sphere, 8)
-        assert len(seen) == 1
-        assert seen[0].get("M") is None
-        assert counts["opinv"] > 0
-        assert counts["opinv"] == counts["inner_in_eigsh"] == counts["inner"]
+        assert counts["op"] > 0
+        assert counts["op"] == counts["inner_in_eigsh"] == counts["inner"]
 
     @pytest.mark.parametrize("name", sorted(WHITENED_MESHES))
     def test_mh_matches_dense_pencil(self, name):
@@ -479,6 +480,177 @@ class TestWhitenedLanczos:
         np.testing.assert_allclose(basis.spectrum, lam_o[:k], rtol=1e-10, atol=1e-12)
         gram = basis.functions.T @ (a[:, None] * basis.functions)
         assert np.abs(gram - np.eye(k)).max() <= 1e-12
+
+
+class CountingRng:
+    """A seeded generator that counts the vectors drawn from it."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.draws = 0
+
+    def uniform(self, *args):
+        self.draws += 1
+        return self._rng.uniform(*args)
+
+
+def lanczos(op, v0, k, ncv, seed=0, tol=1e-12):
+    """``solvers.eigsh`` from v0, with its continuation vectors counted."""
+    rng = CountingRng(seed)
+    theta, X = solvers.eigsh(op, v0, k, ncv=ncv, tol=tol, rng=rng)
+    return theta, X, rng.draws
+
+
+def start(n, seed=1):
+    return np.random.default_rng(seed).uniform(-1.0, 1.0, n)
+
+
+def rotated(d, seed=5):
+    """``U diag(d) U^T`` for a random orthogonal U."""
+    U, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((d.size, d.size)))
+    return (U * d) @ U.T
+
+
+def check_dense(M, theta, X, k):
+    """theta and X against the k largest-magnitude eigenpairs of M."""
+    lam, _ = dense_pencil_eig(M, np.ones(M.shape[0]))
+    expect = lam[np.argsort(-np.abs(lam), kind="stable")][:k]
+    np.testing.assert_allclose(theta, expect, rtol=1e-10)
+    assert X.shape == (M.shape[0], k) and X.flags.c_contiguous
+    assert np.abs(X.T @ X - np.eye(k)).max() <= 1e-12
+    assert np.abs(M @ X - X * theta).max() <= 1e-9 * np.abs(theta).max()
+
+
+def whitened_shift_invert(mesh, sigma=None):
+    """``y -> (H - sigma I)^-1 y`` for H = A^-1/2 W A^-1/2, as compute_mh solves it."""
+    W, A = assemble_stiffness(mesh), assemble_mass(mesh)
+    system, _ = build_lmh_operator(W, A, None, None, 0.0, 0.0, sigma=sigma)
+    s = np.sqrt(system.mass)
+    return (lambda y: s * system.solve_shifted(s * y)), system
+
+
+def check_mesh(system, theta, X, k):
+    """1/theta + sigma and X against the pencil's k smallest eigenpairs."""
+    a = system.mass
+    W = system.W.toarray()
+    lam = 1.0 / theta + system.sigma
+    lam_o, _ = dense_pencil_eig(W, a)
+    np.testing.assert_allclose(lam, lam_o[:k], rtol=1e-9, atol=1e-9)
+    assert np.abs(X.T @ X - np.eye(k)).max() <= 1e-12
+    s = np.sqrt(a)
+    residual = (W @ (X / s[:, None])) / s[:, None] - X * lam
+    # a tenth of the bound smallest_eigenpairs checks
+    assert np.all(np.linalg.norm(residual, axis=0) <= 1e-9 * np.maximum(1.0, lam))
+    return lam
+
+
+class TestThickRestartLanczos:
+    """``solvers.eigsh`` alone, against ``tests/oracles.py``."""
+
+    def test_restarts_converge_to_the_largest_magnitudes(self):
+        M = rotated(np.concatenate([[-9.0, 8.5], np.linspace(-4.0, 6.0, 118)]))
+        calls = []
+
+        def op(y):
+            calls.append(1)
+            return M @ y
+
+        theta, X, _ = lanczos(op, start(120), 6, ncv=16)
+        # more applications than the start and one pass of 16 steps
+        assert len(calls) > 17
+        check_dense(M, theta, X, 6)
+
+    def test_repeated_eigenvalue(self):
+        # three copies of the largest eigenvalue: the Krylov space of one
+        # start vector holds one vector of that eigenspace, and the other
+        # two enter only once that space is exhausted
+        M = rotated(np.concatenate([[5.0, 5.0, 5.0], np.linspace(0.1, 4.0, 27)]))
+        theta, X, _ = lanczos(lambda y: M @ y, start(30), 5, ncv=30)
+        check_dense(M, theta, X, 5)
+        np.testing.assert_allclose(theta[:3], 5.0, rtol=1e-12)
+
+    def test_breakdown_of_a_low_rank_operator(self):
+        # rank 5 on the first five coordinates: the Krylov space is
+        # invariant after five steps, and each further step of a zero
+        # operator breaks down again
+        M = np.zeros((40, 40))
+        M[:5, :5] = rotated(np.array([3.0, -2.5, 2.0, 1.5, 1.0]))
+        theta, X, draws = lanczos(lambda y: M @ y, start(40), 4, ncv=12)
+        assert draws >= 1
+        check_dense(M, theta, X, 4)
+
+    def test_breakdown_on_two_disjoint_grids(self):
+        # from a start on the first grid, the Krylov space never leaves
+        # it; the second grid, whose spectrum is the same, enters through
+        # the random vector drawn at the breakdown. The shift is the
+        # larger one of TestDisconnectedMesh: at the default one the
+        # second zero eigenvalue, ~3e7 after inversion, costs the others
+        # seven digits, which only the block polish restores
+        g = grid_mesh(4, 4)
+        mesh = TriMesh(
+            np.vstack([g.vertices, g.vertices + [2.0, 0.0, 0.0]]),
+            np.vstack([g.faces, g.faces + g.n_vertices]),
+        )
+        op, system = whitened_shift_invert(mesh, sigma=-1e-2)
+        v0 = start(mesh.n_vertices)
+        v0[g.n_vertices:] = 0.0
+        k = 12
+        theta, X, draws = lanczos(op, v0, k, ncv=mesh.n_vertices)
+        assert draws >= 1
+        lam = check_mesh(system, theta, X, k)
+        np.testing.assert_allclose(lam[1::2], lam[::2], rtol=1e-9, atol=1e-9)
+
+    def test_zero_eigenvalue_at_the_default_shift(self):
+        # the null mode becomes theta ~ 3e7 next to wanted ones near 0.1:
+        # the start op(v0) and the MRRR eigensolver of T keep those
+        # accurate relative to themselves
+        op, system = whitened_shift_invert(grid_mesh(10, 10))
+        assert -1.0 / system.sigma > 1e7
+        theta, X, _ = lanczos(op, start(121), 16, ncv=42, tol=1e-10)
+        check_mesh(system, theta, X, 16)
+
+    def test_k_equals_n_minus_3(self):
+        op, system = whitened_shift_invert(grid_mesh(5, 5))
+        n = system.mass.size
+        theta, X, _ = lanczos(op, start(n), n - 3, ncv=n)
+        check_mesh(system, theta, X, n - 3)
+
+    @pytest.mark.parametrize("case", ["restarts", "breakdowns"])
+    def test_reruns_are_byte_identical(self, case):
+        if case == "restarts":
+            M, k, ncv = rotated(np.linspace(-3.0, 7.0, 90)), 8, 20
+        else:
+            M, k, ncv = np.diag(np.repeat([0.0, 1.0, 2.0, 3.0], [20, 1, 1, 1])), 3, 12
+        first = lanczos(lambda y: M @ y, start(M.shape[0]), k, ncv, seed=3)
+        second = lanczos(lambda y: M @ y, start(M.shape[0]), k, ncv, seed=3)
+        assert first[0].tobytes() == second[0].tobytes()
+        assert first[1].tobytes() == second[1].tobytes()
+        assert first[2] == second[2] and (case == "restarts" or first[2] >= 1)
+
+    def test_rejects_a_basis_too_small_for_k(self):
+        M = rotated(np.linspace(1.0, 2.0, 20))
+        for ncv in (6, 21):
+            with pytest.raises(ValueError, match="ncv"):
+                lanczos(lambda y: M @ y, start(20), 5, ncv=ncv)
+
+    def test_returned_functions_are_c_contiguous(self, sphere, unit_square):
+        mh = compute_mh(sphere, 8)
+        region = Region.binary(unit_square.n_vertices, np.arange(40))
+        lmh = compute_lmh(unit_square, region, k=4, kprime=3)
+        assert mh.functions.flags.c_contiguous
+        assert lmh.functions.flags.c_contiguous
+
+    def test_one_eigsh_span_holds_every_shifted_solve(self, sphere):
+        spans = load_spans()
+        tracer = spans.Tracer()
+        with spans.instrument(tracer):
+            compute_mh(sphere, 8)
+        names = [s.name for s in tracer.spans]
+        assert names.count("solvers.eigsh") == 1
+        lanczos_span = names.index("solvers.eigsh")
+        inner = [s for s in tracer.spans if s.name == "solvers.inner_solve"]
+        assert inner
+        assert all(s.parent == lanczos_span for s in inner)
 
 
 class TestPositiveMass:
@@ -653,12 +825,17 @@ class TestBlasThreadScope:
 
     def test_relaxed_lmh_restores_counts(self, blas_pools, unit_square,
                                          monkeypatch):
-        seen = []
+        seen, in_steps = [], set()
         real_eigsh = solvers.eigsh
 
-        def recording_eigsh(*args, **kwargs):
+        def recording_eigsh(op, *args, **kwargs):
             seen.append(pool_counts(blas_pools))
-            return real_eigsh(*args, **kwargs)
+
+            def recording_op(y):
+                in_steps.add(tuple(pool_counts(blas_pools)))
+                return op(y)
+
+            return real_eigsh(recording_op, *args, **kwargs)
 
         monkeypatch.setattr(solvers, "eigsh", recording_eigsh)
         before = pool_counts(blas_pools)
@@ -667,14 +844,16 @@ class TestBlasThreadScope:
         assert pool_counts(blas_pools) == before
         # one solve for the global harmonics, one for the localized ones
         assert seen == [[1] * len(blas_pools)] * 2
+        assert in_steps == {(1,) * len(blas_pools)}
 
     def test_counts_restored_when_eigsh_raises(self, blas_pools, sphere,
                                                monkeypatch):
-        def failing_eigsh(*args, **kwargs):
-            raise ArpackNoConvergence("no convergence", np.empty(0),
-                                      np.empty((0, 0)))
+        real_eigsh = solvers.eigsh
 
-        monkeypatch.setattr(solvers, "eigsh", failing_eigsh)
+        def one_pass_at_zero_tolerance(*args, **kwargs):
+            return real_eigsh(*args, **{**kwargs, "tol": 0.0, "maxiter": 1})
+
+        monkeypatch.setattr(solvers, "eigsh", one_pass_at_zero_tolerance)
         before = pool_counts(blas_pools)
         with pytest.raises(NumericalError, match="did not converge"):
             compute_mh(sphere, 5)
