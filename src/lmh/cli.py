@@ -5,10 +5,17 @@ spectral guarantee checks (gap, bound, weyl), surface reconstruction,
 functional-map correspondence (fmap, p2p, error-curve) and a solver
 benchmark. Every run is a pure function of its flags and seed; no
 environment variables are consulted, and numeric outputs are written
-with 17 significant digits so reruns are byte-identical. For ``mh`` and
-relaxed ``lmh`` that holds for the output files and the JSON summary at
-any BLAS thread count; the dense ``hard`` and ``oracle`` solvers match
-only at the same thread count.
+with 17 significant digits so reruns are byte-identical.
+
+Every command runs with BLAS at one thread (``solvers._serial_blas``):
+its BLAS calls are too small to gain from threads, and an idle OpenBLAS
+worker spins for about 0.1 s after each threaded call, burning CPU while
+the serial work goes on. So output files and JSON summaries do not
+depend on the BLAS thread count. The exceptions, whose work grows
+faster than the mesh, keep the process thread count: the dense
+``--solver hard`` and ``--solver oracle`` paths, also as ``bench`` runs
+them (their outputs match only at the same thread count), and the
+distance GEMM of ``p2p``, whose indices are exact at any thread count.
 
 Warnings raised by a command print as ``warning: <message>`` on stderr,
 without a source location.
@@ -46,7 +53,7 @@ from .localized import (
 )
 from .fmap import build_fmap, geodesic_error_stats, offblock_energy, recover_p2p
 from .mesh import MeshError, read_mesh, surface_area, write_off
-from .solvers import NumericalError
+from .solvers import NumericalError, _serial_blas
 from .spectral import reconstruct_surface, reconstruction_error
 from .synth import patch_vertices
 
@@ -564,7 +571,7 @@ def run(argv=None):
         return 1
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    with warnings.catch_warnings():
+    with _serial_blas(), warnings.catch_warnings():
         warnings.showwarning = _print_warning
         try:
             return args.func(args)

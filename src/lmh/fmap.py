@@ -16,6 +16,7 @@ from scipy.spatial.distance import cdist
 from .fem import mass_diagonal
 from .localized import SpectralBasis
 from .mesh import graph_geodesics, surface_area
+from .solvers import _process_blas
 
 
 @dataclass
@@ -133,22 +134,25 @@ def recover_p2p(fmap, basis_x=None, basis_y=None, chunk=512):
     x_sq = np.einsum("ij,ij->i", emb_x, emb_x)
     r_sq = x_sq.max(initial=0.0)
     out = np.empty(queries.shape[0], dtype=np.int64)
-    for lo in range(0, queries.shape[0], chunk):
-        q = queries[lo : lo + chunk]
-        q_sq = np.einsum("ij,ij->i", q, q)
-        d2 = q @ emb_x.T
-        d2 *= -2.0
-        d2 += x_sq[None, :]
-        d2 += q_sq[:, None]
-        best = d2.argmin(axis=1)
-        slack = 8.0 * g * (q_sq + r_sq)
-        band = d2 <= (d2[np.arange(len(q)), best] + slack)[:, None]
-        for row in np.flatnonzero(band.sum(axis=1) != 1):
-            # a NaN row has an empty band; cdist decides it on all columns
-            cols = np.flatnonzero(band[row]) if band[row].any() else np.arange(len(emb_x))
-            d = cdist(q[row : row + 1], emb_x[cols])
-            best[row] = cols[np.argmin(d)]  # the lowest index on ties
-        out[lo : lo + len(q)] = best
+    # the GEMM's work grows as n_Y n_X, so it keeps the process BLAS
+    # threads; the band makes the indices exact in any summation order
+    with _process_blas():
+        for lo in range(0, queries.shape[0], chunk):
+            q = queries[lo : lo + chunk]
+            q_sq = np.einsum("ij,ij->i", q, q)
+            d2 = q @ emb_x.T
+            d2 *= -2.0
+            d2 += x_sq[None, :]
+            d2 += q_sq[:, None]
+            best = d2.argmin(axis=1)
+            slack = 8.0 * g * (q_sq + r_sq)
+            band = d2 <= (d2[np.arange(len(q)), best] + slack)[:, None]
+            for row in np.flatnonzero(band.sum(axis=1) != 1):
+                # a NaN row has an empty band; cdist decides it on all columns
+                cols = np.flatnonzero(band[row]) if band[row].any() else np.arange(len(emb_x))
+                d = cdist(q[row : row + 1], emb_x[cols])
+                best[row] = cols[np.argmin(d)]  # the lowest index on ties
+            out[lo : lo + len(q)] = best
     return out
 
 

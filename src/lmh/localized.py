@@ -174,8 +174,11 @@ def compute_mh(mesh, k, seed=0, W=None, A=None):
     )
 
 
+@_serial_blas()
 def build_lmh_operator(W, A, region, phi, mu_r, mu_perp, sigma=None):
     """Assemble the localized operator in low-rank shifted form.
+
+    Runs with BLAS at one thread, like the solve that follows.
 
     Parameters
     ----------

@@ -34,16 +34,26 @@ trailing block. It never forms the orthogonal factor, a complement
 basis or a copy of that block, so its memory peak is about one n-by-n
 array and its cost is the O(n^3) ``eigh``.
 
-Thread policy: the shift-invert Lanczos path runs with the bundled
-OpenBLAS pools at one thread (its BLAS calls are too small to gain from
-threads, and serial BLAS makes its output independent of the thread
-count), while the dense routes keep the process default.
+Thread policy, owned here: lmh runs BLAS at one thread. The exceptions
+are the kernels whose work grows faster than n: ``hard_constraint_eig``,
+``dense_oracle_eig`` and the distance GEMM of ``fmap.recover_p2p``. The
+rest (Lanczos steps, Gram-Schmidt, Gram checks, products with n-by-k
+blocks) is too small to gain from threads, and a threaded call costs
+more than its own time: after it, each idle OpenBLAS worker spins for
+about 0.1 s while the serial work that follows runs, so CPU time
+exceeds wall time. Serial BLAS also makes results independent of the
+thread count.
+``_serial_blas`` sets the bundled OpenBLAS pools to one thread for its
+block (the command line runs every command in one); ``_process_blas``
+runs the exceptions at the counts the pools had outside every
+``_serial_blas`` scope.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
+import itertools
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -113,8 +123,8 @@ def _blas_thread_controls():
 
 
 @contextmanager
-def _serial_blas():
-    """Run the block with every bundled OpenBLAS pool at one thread.
+def _pools_at(counts):
+    """Run the block with the bundled OpenBLAS pools at ``counts``, one per pool.
 
     Each pool gets back the count it had on entry, also on an exception,
     so scopes nest. The counts are process-wide: concurrent scopes in
@@ -122,13 +132,50 @@ def _serial_blas():
     """
     controls = _blas_thread_controls()
     saved = [get() for get, _ in controls]
-    for _, set_ in controls:
-        set_(1)
+    for (_, set_), count in zip(controls, counts):
+        set_(count)
     try:
         yield
     finally:
         for (_, set_), count in zip(controls, saved):
             set_(count)
+
+
+# the pool counts outside every open _serial_blas scope, None when no
+# scope is open; process-wide, like the counts themselves
+_process_counts = None
+
+
+@contextmanager
+def _serial_blas():
+    """Run the block with every bundled OpenBLAS pool at one thread.
+
+    Scopes nest; the outermost one records the counts it found, which
+    ``_process_blas`` sets again inside.
+    """
+    global _process_counts
+    outermost = _process_counts is None
+    if outermost:
+        _process_counts = [get() for get, _ in _blas_thread_controls()]
+    try:
+        with _pools_at(itertools.repeat(1)):
+            yield
+    finally:
+        if outermost:
+            _process_counts = None
+
+
+@contextmanager
+def _process_blas():
+    """Run the block at the pool counts outside every ``_serial_blas`` scope.
+
+    Outside any ``_serial_blas`` scope it changes nothing.
+    """
+    if _process_counts is None:
+        yield
+    else:
+        with _pools_at(_process_counts):
+            yield
 
 
 def _positive_mass(A):
@@ -421,18 +468,17 @@ def canonical_signs(Psi):
     The first entry whose magnitude exceeds 1e-6 times the column norm
     decides the sign; columns without one are left untouched.
     """
-    Psi = np.array(Psi, dtype=np.float64, copy=True)
-    for j in range(Psi.shape[1]):
-        col = Psi[:, j]
-        nrm = np.linalg.norm(col)
-        if nrm == 0.0:
-            continue
-        big = np.flatnonzero(np.abs(col) > 1e-6 * nrm)
-        if big.size and col[big[0]] < 0.0:
-            Psi[:, j] = -col
-    return Psi
+    Psi = np.asarray(Psi, dtype=np.float64)
+    threshold = 1e-6 * np.sqrt(np.einsum("ij,ij->j", Psi, Psi))
+    big = (Psi > threshold) | (Psi < -threshold)
+    cols = np.arange(Psi.shape[1])
+    first = big.argmax(axis=0)
+    flip = big[first, cols] & (Psi[first, cols] < 0.0)
+    # a new array; a product with 1 or -1 is exact
+    return Psi * np.where(flip, -1.0, 1.0)
 
 
+@_process_blas()
 def dense_oracle_eig(Q, A):
     """Full dense solve of the pencil (Q, A) by symmetric whitening.
 
@@ -475,6 +521,14 @@ _DGKS_RATIO = 0.717
 _EPS23 = np.finfo(np.float64).eps ** (2.0 / 3.0)
 # columns per block of the in-place restart, so its temporary stays small
 _RESTART_COLUMNS = 2048
+# a solve fails once this many restarts in a row add no converged Ritz
+# pair. At the basis size of smallest_eigenpairs the longest such run
+# seen on a solve that converged was 7, over the test suite, the
+# benchmark workloads at seeds 0-4 and 40 seeds each of icospheres and
+# grids with clustered spectra. A basis of only k + 2 or k + 3 vectors
+# adds so few per restart that a solve can stall longer and still
+# converge after hundreds of passes
+_STALLED_RESTARTS = 50
 
 
 def _orthogonalize(basis, w):
@@ -601,7 +655,9 @@ def eigsh(op, v0, k, ncv, tol, rng, maxiter=None):
         invariant subspace.
     maxiter : int, optional
         Lanczos passes allowed, each but the first after a restart
-        (default 10 n, ARPACK's default in scipy).
+        (default 10 n, ARPACK's default in scipy). The iteration stops
+        earlier, after ``_STALLED_RESTARTS`` restarts in a row that add
+        no converged pair.
 
     Returns
     -------
@@ -612,7 +668,8 @@ def eigsh(op, v0, k, ncv, tol, rng, maxiter=None):
     Raises
     ------
     NumericalError
-        If fewer than k Ritz pairs converge in ``maxiter`` passes.
+        If fewer than k Ritz pairs converge in ``maxiter`` passes, or
+        the converged count stops growing.
 
     Notes
     -----
@@ -647,8 +704,9 @@ def eigsh(op, v0, k, ncv, tol, rng, maxiter=None):
     V[0] = op(v0)
     V[0] /= np.linalg.norm(V[0])
     T = np.zeros((ncv, ncv))
-    start = nconv = 0
-    for _ in range(maxiter):
+    start = nconv = passes = stalled = 0
+    most = -1
+    for passes in range(1, maxiter + 1):
         beta = _lanczos_steps(op, V, T, start, rng)
         theta, S = _ritz_pairs(T)
         bounds = np.abs(beta * S[-1, :k])
@@ -656,6 +714,9 @@ def eigsh(op, v0, k, ncv, tol, rng, maxiter=None):
         nconv = int(np.count_nonzero(converged))
         if nconv == k:
             return theta[:k], V[:ncv].T @ S[:, :k]
+        most, stalled = (nconv, 0) if nconv > most else (most, stalled + 1)
+        if stalled == _STALLED_RESTARTS:
+            break
         p = min(k + min(nconv, (ncv - k) // 2), ncv - 2)
         for c in range(0, n, _RESTART_COLUMNS):
             cols = slice(c, c + _RESTART_COLUMNS)
@@ -666,7 +727,8 @@ def eigsh(op, v0, k, ncv, tol, rng, maxiter=None):
         start = p
     raise NumericalError(
         f"eigensolver did not converge: {nconv} of {k} Ritz pairs after "
-        f"{maxiter} Lanczos passes; try a different shift or a larger subspace"
+        f"{passes} Lanczos passes, the last {stalled} without a new one; "
+        "try a different shift or a larger subspace"
     )
 
 
@@ -828,6 +890,7 @@ def _compact_wy(h, tau):
     return Y, T
 
 
+@_process_blas()
 def hard_constraint_eig(Z, A, Phi, k):
     """Exact eigenpairs of the penalized operator on the complement of Phi.
 

@@ -249,15 +249,39 @@ class TestLmh:
 
 
 class TestBlasThreadIndependence:
-    def test_mh_then_lmh_outputs_match_across_thread_counts(self, tmp_path):
-        # at n=2562 the BLAS calls inside the Lanczos iteration are large
-        # enough to be split across threads when the pools are left at the
-        # default
+    def test_chain_outputs_match_across_thread_counts(self, tmp_path):
+        # at n=2562 the BLAS calls of every command are large enough to be
+        # split across threads when the pools are left at the default;
+        # fmap's C matrix differed between 1 and 2 threads before every
+        # command ran on serial BLAS
         mesh = tmp_path / "sphere.off"
         write_off(icosphere(4, radius=5.0), mesh)
         region = tmp_path / "region.txt"
         lmhio.save_region(Region.binary(2562, np.arange(500)), region)
+        truth = tmp_path / "truth.txt"
+        lmhio.save_p2p(np.arange(2562), truth)
         src = str(Path(lmh.__file__).resolve().parent.parent)
+        mh, m, r = "out/mh_basis.txt", str(mesh), str(region)
+        chain = [
+            ["mh", "--mesh", m, "--k", "20"],
+            ["lmh", "--mesh", m, "--region", r, "--phi", mh, "--k", "30"],
+            ["gap", "--mesh", m, "--region", r, "--kprime", "20"],
+            ["bound", "--mesh", m, "--region", r, "--kprime", "5", "--k", "10"],
+            ["reconstruct", "--mesh", m, "--basis", mh, "out/lmh_basis.txt"],
+            ["fmap", "--basis-x", mh, "--basis-y", mh, "--mesh-y", m,
+             "--p2p", str(truth)],
+            ["p2p", "--cmatrix", "out/cmatrix.txt", "--basis-x", mh,
+             "--basis-y", mh],
+        ]
+        # one process per thread count runs the whole chain, each command
+        # through cli.run, and prints the exit codes last
+        script = (
+            "import json, sys\n"
+            "from lmh import cli\n"
+            "codes = [cli.run(argv + ['--out-dir', 'out'])"
+            " for argv in json.loads(sys.argv[1])]\n"
+            "print(json.dumps(codes))\n"
+        )
         outputs, stdouts = {}, {}
         for threads in ("1", "2"):
             cwd = tmp_path / f"threads{threads}"
@@ -266,29 +290,27 @@ class TestBlasThreadIndependence:
             env["PYTHONPATH"] = os.pathsep.join(
                 filter(None, [src, env.get("PYTHONPATH")])
             )
-            stdouts[threads] = []
-            for argv in (
-                ["mh", "--mesh", str(mesh), "--k", "20", "--out-dir", "out"],
-                ["lmh", "--mesh", str(mesh), "--region", str(region),
-                 "--phi", "out/mh_basis.txt", "--k", "30", "--out-dir", "out"],
-            ):
-                proc = subprocess.run(
-                    [sys.executable, "-m", "lmh.cli", *argv], cwd=cwd, env=env,
-                    capture_output=True, text=True, timeout=300,
-                )
-                assert proc.returncode == 0, proc.stderr
-                stdouts[threads].append(proc.stdout)
+            proc = subprocess.run(
+                [sys.executable, "-c", script, json.dumps(chain)],
+                cwd=cwd, env=env, capture_output=True, text=True, timeout=300,
+            )
+            *stdouts[threads], codes = proc.stdout.splitlines()
+            assert json.loads(codes) == [0] * len(chain), proc.stderr
             outputs[threads] = {
                 p.name: p.read_bytes() for p in (cwd / "out").iterdir()
             }
         assert sorted(outputs["1"]) == [
-            "lmh_basis.txt", "lmh_spectrum.txt", "mh_basis.txt",
-            "mh_spectrum.txt",
+            "cmatrix.txt", "lmh_basis.txt", "lmh_spectrum.txt", "mh_basis.txt",
+            "mh_spectrum.txt", "p2p.txt", "recon_error.txt",
+            "reconstructed.off",
         ]
-        assert outputs["1"] == outputs["2"]
+        for name in outputs["1"]:
+            assert outputs["1"][name] == outputs["2"][name], name
         # the JSON summaries too, orthonormality_defect and
         # phi_overlap_max included
-        assert stdouts["1"] == stdouts["2"]
+        assert len(stdouts["1"]) == len(chain)
+        for argv, one, two in zip(chain, stdouts["1"], stdouts["2"]):
+            assert one == two, argv[0]
 
 
 class TestPmh:

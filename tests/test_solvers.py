@@ -1,6 +1,7 @@
 """The checked sparse LU, low-rank shifted solves, and the three
 eigensolver paths."""
 
+import contextlib
 import tracemalloc
 
 import numpy as np
@@ -11,14 +12,22 @@ from scipy import sparse
 from scipy.linalg import subspace_angles
 from scipy.sparse.linalg import splu
 
-from lmh import solvers
+from lmh import cli, fmap, localized, solvers
+from lmh import io as lmhio
 from lmh.fem import (
     assemble_mass,
     assemble_stiffness,
     mass_diagonal,
     penalty_weights,
 )
-from lmh.localized import Region, build_lmh_operator, compute_lmh, compute_mh
+from lmh.fmap import recover_p2p
+from lmh.localized import (
+    Region,
+    SpectralBasis,
+    build_lmh_operator,
+    compute_lmh,
+    compute_mh,
+)
 from lmh.solvers import (
     DENSE_ORACLE_MAX_N,
     HARD_PATH_MAX_N,
@@ -31,7 +40,7 @@ from lmh.solvers import (
     smallest_eigenpairs,
     woodbury_solve,
 )
-from lmh.mesh import TriMesh
+from lmh.mesh import TriMesh, write_off
 from lmh.synth import bump_sphere, grid_mesh, icosphere, patch_vertices
 
 
@@ -627,6 +636,22 @@ class TestThickRestartLanczos:
         assert first[1].tobytes() == second[1].tobytes()
         assert first[2] == second[2] and (case == "restarts" or first[2] >= 1)
 
+    def test_a_stalled_iteration_fails_fast(self):
+        # at tolerance 0 only a residual estimate of exactly 0 converges,
+        # so the converged count soon stops growing; the 10 n pass cap
+        # would allow 3000 passes of up to 20 steps
+        M = rotated(np.linspace(1.0, 2.0, 300))
+        calls = []
+
+        def op(y):
+            calls.append(1)
+            return M @ y
+
+        stalled = solvers._STALLED_RESTARTS
+        with pytest.raises(NumericalError, match=f"the last {stalled} without"):
+            lanczos(op, start(300), 5, ncv=20, tol=0.0)
+        assert len(calls) <= 20 * 2 * stalled
+
     def test_rejects_a_basis_too_small_for_k(self):
         M = rotated(np.linspace(1.0, 2.0, 20))
         for ncv in (6, 21):
@@ -651,6 +676,44 @@ class TestThickRestartLanczos:
         inner = [s for s in tracer.spans if s.name == "solvers.inner_solve"]
         assert inner
         assert all(s.parent == lanczos_span for s in inner)
+
+
+def signs_by_column_loop(Psi):
+    """The column loop ``canonical_signs`` replaced, as its reference."""
+    Psi = np.array(Psi, dtype=np.float64, copy=True)
+    for j in range(Psi.shape[1]):
+        col = Psi[:, j]
+        nrm = np.linalg.norm(col)
+        if nrm == 0.0:
+            continue
+        big = np.flatnonzero(np.abs(col) > 1e-6 * nrm)
+        if big.size and col[big[0]] < 0.0:
+            Psi[:, j] = -col
+    return Psi
+
+
+def test_canonical_signs_match_the_column_loop():
+    Psi = np.random.default_rng(4).standard_normal((50, 12))
+    Psi[:, 2] = 0.0
+    Psi[:, 3] = np.nan
+    Psi[:5, 4] = -1e-9  # below the threshold: entry 5 decides
+    Psi[0, 5] = -1e-300
+    Psi[:, 6] = -1.0
+    Psi[10:, 7] = 0.0
+    expected = signs_by_column_loop(Psi)
+    got = solvers.canonical_signs(Psi)
+    assert got.tobytes() == expected.tobytes()
+    assert Psi[0, 6] == -1.0  # the input is not modified
+    for mesh_case in (grid_mesh(10, 10), icosphere(2)):
+        _, Psi = smallest_eigenpairs(
+            build_lmh_operator(assemble_stiffness(mesh_case),
+                               assemble_mass(mesh_case), None, None, 0.0, 0.0)[0],
+            12,
+        )
+        flipped = Psi * np.where(np.arange(12) % 2, -1.0, 1.0)
+        assert solvers.canonical_signs(flipped).tobytes() == (
+            signs_by_column_loop(flipped).tobytes()
+        )
 
 
 class TestPositiveMass:
@@ -813,6 +876,34 @@ def pool_counts(controls):
     return [get() for get, _ in controls]
 
 
+def recording(real, controls, seen):
+    """``real``, appending the pool counts to ``seen`` at each call."""
+    def record(*args, **kwargs):
+        seen.append(pool_counts(controls))
+        return real(*args, **kwargs)
+    return record
+
+
+def record_dense_kernels(monkeypatch, controls):
+    """Pool counts at each ``eigh`` of the dense routes and ``cdist`` of p2p."""
+    seen = []
+    for module, name in ((solvers, "eigh"), (fmap, "cdist")):
+        monkeypatch.setattr(module, name, recording(
+            getattr(module, name), controls, seen))
+    return seen
+
+
+def tied_basis():
+    """Four functions on 30 vertices whose rows 3 and 7 are equal.
+
+    Both of their p2p queries tie in the distance GEMM, and ``cdist``
+    decides each inside the chunk loop.
+    """
+    functions = np.random.default_rng(0).standard_normal((30, 4))
+    functions[7] = functions[3]
+    return SpectralBasis(functions, np.arange(4.0), "MH")
+
+
 class TestBlasThreadScope:
     def test_pools_read_one_inside_and_nest(self, blas_pools):
         ones, twos = [1] * len(blas_pools), [2] * len(blas_pools)
@@ -868,17 +959,76 @@ class TestBlasThreadScope:
 
     def test_dense_routes_keep_process_default(self, blas_pools, tetra,
                                                unit_square, monkeypatch):
-        seen = []
-        real_eigh = solvers.eigh
-
-        def recording_eigh(*args, **kwargs):
-            seen.append(pool_counts(blas_pools))
-            return real_eigh(*args, **kwargs)
-
-        monkeypatch.setattr(solvers, "eigh", recording_eigh)
-        compute_mh(tetra, 4)  # k > n - 2: dense fallback
+        seen = record_dense_kernels(monkeypatch, blas_pools)
         n = unit_square.n_vertices
         W, A = assemble_stiffness(unit_square), assemble_mass(unit_square)
         Z = penalized(W, A, Region.binary(n, np.arange(40)))
-        hard_constraint_eig(Z, A, np.zeros((n, 0)), 4)
-        assert seen == [[2] * len(blas_pools)] * 2
+        basis = tied_basis()
+        for scope in (contextlib.nullcontext, solvers._serial_blas):
+            with scope():
+                compute_mh(tetra, 4)  # k > n - 2: dense fallback
+                hard_constraint_eig(Z, A, np.zeros((n, 0)), 4)
+                p2p = recover_p2p(np.eye(4), basis_x=basis, basis_y=basis)
+            assert p2p[3] == p2p[7] == 3
+        assert seen == [[2] * len(blas_pools)] * 8
+
+    def test_cli_commands_run_serial_and_restore_counts(
+        self, blas_pools, unit_square, tmp_path, monkeypatch
+    ):
+        mesh = tmp_path / "square.off"
+        write_off(unit_square, mesh)
+        seen = []
+
+        def failing_mh(*args, **kwargs):
+            raise NumericalError("did not converge")
+
+        before = pool_counts(blas_pools)
+        out = ["--out-dir", str(tmp_path)]
+        monkeypatch.setattr(cli, "compute_mh",
+                            recording(compute_mh, blas_pools, seen))
+        assert cli.run(["mh", "--mesh", str(mesh), "--k", "3", *out]) == 0
+        assert pool_counts(blas_pools) == before
+        assert cli.run(["mh", "--mesh", str(tmp_path / "none.off"), "--k", "3",
+                        *out]) == 1
+        assert pool_counts(blas_pools) == before
+        monkeypatch.setattr(cli, "compute_mh",
+                            recording(failing_mh, blas_pools, seen))
+        assert cli.run(["mh", "--mesh", str(mesh), "--k", "3", *out]) == 2
+        assert pool_counts(blas_pools) == before
+        assert seen == [[1] * len(blas_pools)] * 2
+
+    def test_cli_dense_kernels_keep_process_default(
+        self, blas_pools, unit_square, tmp_path, monkeypatch
+    ):
+        seen = record_dense_kernels(monkeypatch, blas_pools)
+        mesh, region = tmp_path / "square.off", tmp_path / "region.txt"
+        write_off(unit_square, mesh)
+        lmhio.save_region(Region.binary(unit_square.n_vertices, np.arange(40)),
+                          region)
+        basis, cmatrix = tmp_path / "basis.txt", tmp_path / "c.txt"
+        lmhio.save_basis(tied_basis(), basis)
+        lmhio.save_cmatrix(np.eye(4), cmatrix)
+        out = ["--out-dir", str(tmp_path)]
+        lmh = ["lmh", "--mesh", str(mesh), "--region", str(region), "--k", "3",
+               "--kprime", "2", *out]
+        for argv in (
+            [*lmh, "--solver", "hard"],
+            [*lmh, "--solver", "oracle"],
+            ["bench", "--mesh", str(mesh), "--k", "3", "--kprime", "2",
+             "--paths", "hard", *out],
+            ["p2p", "--cmatrix", str(cmatrix), "--basis-x", str(basis),
+             "--basis-y", str(basis), *out],
+        ):
+            assert cli.run(argv) == 0
+        # one eigh each for hard, oracle and bench, two cdist for the tie
+        assert seen == [[2] * len(blas_pools)] * 5
+
+    def test_lmh_operator_build_is_serial(self, blas_pools, unit_square,
+                                          monkeypatch):
+        seen = []
+        monkeypatch.setattr(localized, "penalty_weights", recording(
+            localized.penalty_weights, blas_pools, seen))
+        W, A = assemble_stiffness(unit_square), assemble_mass(unit_square)
+        build_lmh_operator(W, A, None, None, 0.0, 0.0)
+        assert seen == [[1] * len(blas_pools)]
+        assert pool_counts(blas_pools) == [2] * len(blas_pools)
