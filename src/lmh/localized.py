@@ -106,7 +106,11 @@ class SpectralBasis:
     Attributes
     ----------
     functions : ndarray of shape (n, m)
-        One function per column.
+        One function per column. ``compute_mh`` and the ``relaxed`` and
+        ``oracle`` paths of ``compute_lmh`` return it column-major, so
+        each function and each leading block of functions is
+        contiguous; the iterative solver's are a view of its Lanczos
+        basis buffer, never a copy.
     spectrum : ndarray of shape (m,)
         Generalized eigenvalues, ascending.
     kind : str
@@ -206,8 +210,9 @@ def build_lmh_operator(W, A, region, phi, mu_r, mu_perp, sigma=None):
     ------
     ValueError
         If a weight is negative, the region length or the phi row count
-        does not match the vertex count, or phi is not A-orthonormal
-        within 1e-6.
+        does not match the vertex count, phi is not finite and
+        A-orthonormal within 1e-6, or the system finds W, the penalty or
+        mu_perp not finite.
     """
     if mu_r < 0.0 or mu_perp < 0.0:
         raise ValueError("penalty weights must be non-negative")
@@ -220,14 +225,19 @@ def build_lmh_operator(W, A, region, phi, mu_r, mu_perp, sigma=None):
     if phi.shape[0] != n:
         raise ValueError("phi row count does not match vertex count")
     if phi.shape[1]:
-        gram = phi.T @ (a[:, None] * phi)
-        if np.abs(gram - np.eye(phi.shape[1])).max() > 1e-6:
-            raise ValueError("phi must be A-orthonormal (within 1e-6)")
+        with np.errstate(invalid="ignore", over="ignore"):
+            gram = phi.T @ (a[:, None] * phi)
+        # negated, so an inf or NaN in phi fails too
+        if not np.abs(gram - np.eye(phi.shape[1])).max() <= 1e-6:
+            raise ValueError("phi must be finite and A-orthonormal (within 1e-6)")
 
     if sigma is None:
         sigma = default_shift(W)
+    # an infinite mu_r gives inf * 0 = NaN, which the system names
+    with np.errstate(invalid="ignore"):
+        penalty = mu_r * a * v
     system = LowRankShiftedSystem(
-        W, a[:, None] * phi, mu_perp, A, penalty=mu_r * a * v, sigma=sigma
+        W, a[:, None] * phi, mu_perp, A, penalty=penalty, sigma=sigma
     )
     return system, system.q_apply
 
@@ -337,11 +347,13 @@ def compute_lmh(
         lam, Psi = vals[:k], vecs[:, :k]
 
     # serial BLAS, as in the solve, keeps these diagnostics independent
-    # of the thread count
+    # of the thread count. A row-major A Psi makes each product round as
+    # it did when the relaxed path returned row-major functions; the
+    # maxima of the transposed products are the same numbers
     with _serial_blas():
-        aPsi = a[:, None] * Psi
-        overlap = float(np.abs(phi.T @ aPsi).max()) if kprime else 0.0
-        defect = float(np.abs(Psi.T @ aPsi - np.eye(k)).max())
+        aPsi = np.multiply(a[:, None], Psi, order="C")
+        overlap = float(np.abs(aPsi.T @ phi).max()) if kprime else 0.0
+        defect = float(np.abs(aPsi.T @ Psi - np.eye(k)).max())
     if overlap > 1e-3:
         warnings.warn(
             f"localized basis leaks into the avoided subspace: "

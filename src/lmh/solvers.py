@@ -24,6 +24,17 @@ first Woodbury step usually reaches. When the Ritz pairs of the Lanczos
 iteration miss the residual check, a few shift-invert block steps with
 Rayleigh-Ritz repair them before the check is final.
 
+Memory rule: once ``eigsh`` has converged, the sparse path allocates
+nothing n-by-k-sized. The Lanczos basis, (ncv + 1) rows of n, is the
+solve's largest array; ``eigsh`` forms the Ritz vectors in its first k
+rows, shrinks the buffer to them in place and returns their transpose,
+a column-major (n, k) array whose columns are the functions.
+``smallest_eigenpairs`` unwhitens them and flips their signs in place
+and checks residuals a few columns at a time. The rule is "allocate
+none", not "free early": on the 141-by-141 grid at k = 100, returning
+a row-major copy of the eigenvectors alone raised the peak resident
+memory of the mh-then-relaxed pipeline from 177-179 MB to 198-199 MB.
+
 Two dense routes exist for cross-checking and for exact constraints:
 ``dense_oracle_eig`` whitens the pencil and calls LAPACK, and
 ``hard_constraint_eig`` restricts the whitened penalized matrix (a
@@ -179,17 +190,28 @@ def _process_blas():
 
 
 def _positive_mass(A):
-    """Diagonal of the mass A, which every solver path needs positive.
+    """Diagonal of the mass A, which every solver path needs positive and finite.
 
     Raises
     ------
     ValueError
-        If an entry is zero, negative or NaN.
+        If an entry is zero, negative, infinite or NaN.
     """
     a = mass_diagonal(A)
-    if not np.all(a > 0.0):
-        raise ValueError("mass diagonal must be positive")
+    if not np.all((a > 0.0) & (a < np.inf)):
+        raise ValueError("mass diagonal must be positive and finite")
     return a
+
+
+def _require_finite(name, values):
+    """Raise ValueError naming ``name`` unless every value is finite.
+
+    A sparse matrix is checked through its stored entries, in O(nnz).
+    """
+    if sparse.issparse(values):
+        values = values.data
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{name} must be finite (it holds an inf or NaN)")
 
 
 def _fro(x):
@@ -341,11 +363,17 @@ class LowRankShiftedSystem:
         Weight of the rank-k' term.
     mass : sparse array or ndarray
         Lumped mass A (used for right-hand sides of the form A b); a
-        zero, negative or NaN entry raises ValueError.
+        zero, negative, infinite or NaN entry raises ValueError.
     penalty : ndarray of shape (n,), optional
         Diagonal penalty added to W (default none).
     sigma : float
         Shift of the solves (default 0).
+
+    Raises
+    ------
+    ValueError
+        If W's stored entries, B, mu_perp or the penalty hold an inf or
+        a NaN (the message names which), or for a bad mass or B shape.
 
     Notes
     -----
@@ -364,6 +392,7 @@ class LowRankShiftedSystem:
     """
 
     def __init__(self, W, B, mu_perp, mass, penalty=None, sigma=0.0):
+        _require_finite("W", W)
         self.W = W
         self.mass = _positive_mass(mass)
         n = self.mass.size
@@ -375,16 +404,19 @@ class LowRankShiftedSystem:
         )
         if self.B.ndim != 2 or self.B.shape[0] != n:
             raise ValueError("B must be an (n, k') array")
+        _require_finite("B", self.B)
         self.mu_perp = float(mu_perp)
+        _require_finite("mu_perp", self.mu_perp)
         self.penalty = np.zeros(n) if penalty is None else np.asarray(penalty)
+        _require_finite("penalty", self.penalty)
         self.sigma = float(sigma)
 
     def q_apply(self, x):
         """Apply the unshifted Q to a vector or matrix of columns."""
         y = self.W @ x
-        y = y + (self.penalty * x if x.ndim == 1 else self.penalty[:, None] * x)
+        y += self.penalty * x if x.ndim == 1 else self.penalty[:, None] * x
         if self.rank and self.mu_perp != 0.0:
-            y = y + self.mu_perp * (self.B @ (self.B.T @ x))
+            y += self.mu_perp * (self.B @ (self.B.T @ x))
         return y
 
     def sparse_part(self, shift):
@@ -466,16 +498,26 @@ def canonical_signs(Psi):
     """Flip column signs so the first significant entry is positive.
 
     The first entry whose magnitude exceeds 1e-6 times the column norm
-    decides the sign; columns without one are left untouched.
+    decides the sign; columns without one are left untouched. Returns a
+    new array in the layout of Psi; the solvers flip their own results
+    in place instead.
     """
-    Psi = np.asarray(Psi, dtype=np.float64)
+    return _flip_signs(np.array(Psi, dtype=np.float64))
+
+
+def _flip_signs(Psi):
+    """``canonical_signs`` in place on the float64 array Psi, which it returns.
+
+    Only boolean masks are formed, and the product with 1 or -1 is
+    exact, so the bytes are those of a flipped copy.
+    """
     threshold = 1e-6 * np.sqrt(np.einsum("ij,ij->j", Psi, Psi))
     big = (Psi > threshold) | (Psi < -threshold)
     cols = np.arange(Psi.shape[1])
     first = big.argmax(axis=0)
     flip = big[first, cols] & (Psi[first, cols] < 0.0)
-    # a new array; a product with 1 or -1 is exact
-    return Psi * np.where(flip, -1.0, 1.0)
+    Psi *= np.where(flip, -1.0, 1.0)
+    return Psi
 
 
 @_process_blas()
@@ -495,7 +537,7 @@ def dense_oracle_eig(Q, A):
     -------
     (ndarray, ndarray)
         All n eigenvalues ascending and A-orthonormal eigenvectors with
-        canonical column signs.
+        canonical column signs, column-major.
     """
     a = _positive_mass(A)
     check_dense_size("oracle", a.size)
@@ -504,8 +546,8 @@ def dense_oracle_eig(Q, A):
     M = Qd / np.outer(s, s)
     M = 0.5 * (M + M.T)
     vals, vecs = eigh(M)
-    Psi = vecs / s[:, None]
-    return vals, canonical_signs(Psi)
+    vecs /= s[:, None]
+    return vals, _flip_signs(vecs)
 
 
 # relative accuracy of the Ritz values of the inverted operator
@@ -519,8 +561,11 @@ _RESIDUAL_TOL = 1e-8
 _DGKS_RATIO = 0.717
 # Ritz values smaller than this converge against it instead of themselves
 _EPS23 = np.finfo(np.float64).eps ** (2.0 / 3.0)
-# columns per block of the in-place restart, so its temporary stays small
+# columns per block of the in-place restart and Ritz vectors, at most,
+# so their temporary stays small
 _RESTART_COLUMNS = 2048
+# eigenvectors per block of the residual check
+_CHECK_COLUMNS = 16
 # a solve fails once this many restarts in a row add no converged Ritz
 # pair. At the basis size of smallest_eigenpairs the longest such run
 # seen on a solve that converged was 7, over the test suite, the
@@ -627,6 +672,25 @@ def _ritz_pairs(T):
     return theta[order], S[:, order]
 
 
+def _combine_rows(V, S, ritz=False):
+    """Overwrite ``V[:p]`` with ``S^T V[:ncv]`` in place, for S of shape (ncv, p).
+
+    One block of columns of V at a time, so the temporary stays small.
+    A restart multiplies ``S^T`` by blocks of ``_RESTART_COLUMNS``
+    columns. For the Ritz vectors (``ritz``) each block is transposed,
+    multiplied by S and transposed back: the orientation of the single
+    product ``V[:ncv]^T S``, whose bytes they keep. Their blocks have
+    nearly equal widths, since a block of one column would make its
+    product a GEMV, which rounds differently.
+    """
+    ncv, p = S.shape
+    n = V.shape[1]
+    width = -(-n // -(-n // _RESTART_COLUMNS)) if ritz else _RESTART_COLUMNS
+    for c in range(0, n, width):
+        block = V[:ncv, c : c + width]
+        V[:p, c : c + width] = (block.T @ S).T if ritz else S.T @ block
+
+
 def eigsh(op, v0, k, ncv, tol, rng, maxiter=None):
     """k largest-magnitude eigenpairs of a symmetric operator.
 
@@ -663,7 +727,10 @@ def eigsh(op, v0, k, ncv, tol, rng, maxiter=None):
     -------
     (ndarray, ndarray)
         The k eigenvalues by decreasing magnitude, and orthonormal
-        eigenvectors as the columns of a C-ordered (n, k) array.
+        eigenvectors as the columns of a column-major (n, k) array: the
+        transpose of the basis's first k rows, which hold them. That
+        buffer is the basis's own, shrunk in place, so after the
+        iteration nothing n-by-k-sized is allocated.
 
     Raises
     ------
@@ -691,7 +758,10 @@ def eigsh(op, v0, k, ncv, tol, rng, maxiter=None):
     block of columns at a time, then V[p] = V[ncv], and T becomes
     ``diag(theta[:p])``; the next step's Gram-Schmidt coefficients
     border it with the arrow ``beta S[-1, :p]``.
-    The Ritz vectors are returned as ``V[:ncv]^T S[:, :k]``, one GEMM.
+    Once k pairs have converged, the Ritz vectors ``V[:ncv]^T S[:, :k]``
+    overwrite ``V[:k]`` by the same block loop (``_combine_rows``), and
+    ``ndarray.resize`` shrinks V's buffer to those rows; V is a local
+    that owns its buffer, so no view of the discarded rows survives.
     """
     n = v0.size
     if not 1 <= k <= ncv - 2 or ncv > n:
@@ -713,14 +783,14 @@ def eigsh(op, v0, k, ncv, tol, rng, maxiter=None):
         converged = bounds <= tol * np.maximum(_EPS23, np.abs(theta[:k]))
         nconv = int(np.count_nonzero(converged))
         if nconv == k:
-            return theta[:k], V[:ncv].T @ S[:, :k]
+            _combine_rows(V, S[:, :k], ritz=True)
+            V.resize((k, n), refcheck=False)
+            return theta[:k], V.T
         most, stalled = (nconv, 0) if nconv > most else (most, stalled + 1)
         if stalled == _STALLED_RESTARTS:
             break
         p = min(k + min(nconv, (ncv - k) // 2), ncv - 2)
-        for c in range(0, n, _RESTART_COLUMNS):
-            cols = slice(c, c + _RESTART_COLUMNS)
-            V[:p, cols] = S[:, :p].T @ V[:ncv, cols]
+        _combine_rows(V, S[:, :p])
         V[p] = V[ncv]
         T[:] = 0.0
         T[np.arange(p), np.arange(p)] = theta[:p]
@@ -755,7 +825,8 @@ def smallest_eigenpairs(system, k, seed=0):
     -------
     (ndarray, ndarray)
         Eigenvalues ascending and A-orthonormal eigenvectors with
-        canonical column signs.
+        canonical column signs, as the columns of a column-major (n, k)
+        array.
 
     Raises
     ------
@@ -773,6 +844,14 @@ def smallest_eigenpairs(system, k, seed=0):
     the tolerance ``_LANCZOS_TOL``. Its eigenvalues theta give
     ``lam = 1 / theta + sigma``; its orthonormal Ritz vectors are
     unwhitened in place (``Psi = S^-1 Phi``) and are A-orthonormal.
+
+    After ``eigsh`` returns, nothing n-by-k-sized is allocated: the
+    eigenvectors stay in the buffer ``eigsh`` returns them in, the
+    residual check works on ``_CHECK_COLUMNS`` of them at a time, and
+    the signs are flipped in place. Above the memory held on entry, the
+    peak is the Lanczos basis, ``ncv + 1`` rows of n floats, plus what
+    the shifted solves allocate (the LU and the correction block at the
+    first solve) and less than one n-by-k array besides.
 
     The Lanczos tolerance is relative to each Ritz value of the
     inverted operator, and single-vector Lanczos separates a degenerate
@@ -833,7 +912,7 @@ def smallest_eigenpairs(system, k, seed=0):
         if failure is not None:
             raise NumericalError(failure)
         # a sign flip negates the residual exactly, so the check holds
-        return lam[:k], canonical_signs(Psi[:, :k])
+        return lam[:k], _flip_signs(Psi[:, :k])
 
 
 # shift-invert subspace steps tried on a block whose residual check fails
@@ -844,25 +923,34 @@ def _block_polish(system, Psi):
     """One shift-invert subspace step on the block Psi, then Rayleigh-Ritz.
 
     Returns the Ritz values ascending and A-orthonormal Ritz vectors of
-    the pencil (Q, A) on the span of ``system.solve_shifted(A Psi)``.
+    the pencil (Q, A) on the span of ``system.solve_shifted(A Psi)``,
+    column-major like the Lanczos ones.
     """
     a = system.mass
     Y, _ = qr(system.solve_shifted(a[:, None] * Psi), mode="economic")
     lam, C = eigh(Y.T @ system.q_apply(Y), Y.T @ (a[:, None] * Y))
-    return lam, Y @ C
+    return lam, np.asfortranarray(Y @ C)
 
 
 def _residual_failure(system, lam, Psi):
     """Message naming the worst pair over the residual bound, or None.
 
     The bound is ``_RESIDUAL_TOL * max(1, |lam|) * |A psi|`` per pair.
+    The pairs are checked ``_CHECK_COLUMNS`` at a time, so the
+    temporaries stay a few such blocks.
     """
     a = system.mass
-    residuals = system.q_apply(Psi) - (a[:, None] * Psi) * lam[None, :]
-    res_norms = np.linalg.norm(residuals, axis=0)
-    ref = _RESIDUAL_TOL * np.maximum(1.0, np.abs(lam)) * np.linalg.norm(
-        a[:, None] * Psi, axis=0
-    )
+    res_norms = np.empty(lam.size)
+    mass_norms = np.empty(lam.size)
+    for c in range(0, lam.size, _CHECK_COLUMNS):
+        cols = slice(c, c + _CHECK_COLUMNS)
+        residuals = system.q_apply(Psi[:, cols])
+        aPsi = a[:, None] * Psi[:, cols]
+        mass_norms[cols] = np.linalg.norm(aPsi, axis=0)
+        aPsi *= lam[None, cols]
+        residuals -= aPsi
+        res_norms[cols] = np.linalg.norm(residuals, axis=0)
+    ref = _RESIDUAL_TOL * np.maximum(1.0, np.abs(lam)) * mass_norms
     if not np.any(res_norms > ref):
         return None
     worst = int(np.argmax(res_norms - ref))
@@ -932,7 +1020,10 @@ def hard_constraint_eig(Z, A, Phi, k):
     Raises
     ------
     ValueError
-        Above the ``HARD_PATH_MAX_N`` dense guard, or for invalid k.
+        Above the ``HARD_PATH_MAX_N`` dense guard, for invalid k, or if
+        Z's stored entries or Phi hold an inf or a NaN. Those are
+        checked here, in O(nnz + n k'), so ``eigh`` skips its scan of
+        the dense block (and the n-by-n boolean array it allocates).
     """
     a = _positive_mass(A)
     n = a.size
@@ -940,6 +1031,8 @@ def hard_constraint_eig(Z, A, Phi, k):
     kprime = Phi.shape[1]
     if not 1 <= k <= n - kprime:
         raise ValueError(f"k must be in [1, {n - kprime}], got {k}")
+    _require_finite("Z", Z)
+    _require_finite("phi", Phi)
 
     s = np.sqrt(a)
     M = Z.toarray(order="F")
@@ -963,10 +1056,11 @@ def hard_constraint_eig(Z, A, Phi, k):
         buf[j * m : (j + 1) * m] = buf[src : src + m]
     trailing = buf[: m * m].reshape((m, m), order="F")
     vals, vecs = eigh(
-        trailing, lower=True, subset_by_index=(0, k - 1), overwrite_a=True
+        trailing, lower=True, subset_by_index=(0, k - 1), overwrite_a=True,
+        check_finite=False,
     )
     # Psi = S^-1 Q [0; vecs]
     Psi = -(Y @ (T @ (Y[kprime:].T @ vecs)))
     Psi[kprime:] += vecs
     Psi /= s[:, None]
-    return vals, canonical_signs(Psi)
+    return vals, _flip_signs(Psi)

@@ -225,6 +225,27 @@ class TestLmh:
         capsys.readouterr()
         assert code == 1  # more than the file provides
 
+    def test_phi_file_with_a_nan_is_rejected(self, capsys, mesh_file, tmp_path):
+        code, mh_summary = run_json(capsys, [
+            "mh", "--mesh", str(mesh_file), "--k", "6",
+            "--out-dir", str(tmp_path),
+        ])
+        assert code == 0
+        path = Path(mh_summary["basis_file"])
+        lines = path.read_text().splitlines(keepends=True)
+        values = lines[5].split()
+        values[2] = "nan"
+        lines[5] = " ".join(values) + "\n"
+        bad = tmp_path / "nan_basis.txt"
+        bad.write_text("".join(lines))
+        region_file = make_region(capsys, mesh_file, tmp_path)
+        code = cli.run([
+            "lmh", "--mesh", str(mesh_file), "--region", region_file,
+            "--k", "4", "--phi", str(bad), "--out-dir", str(tmp_path),
+        ])
+        assert code == 1
+        assert "phi must be finite" in capsys.readouterr().err
+
     def test_region_length_mismatch(self, capsys, mesh_file, sphere_file,
                                     tmp_path):
         region_file = make_region(capsys, mesh_file, tmp_path)
@@ -652,3 +673,55 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 2
         assert "numerical failure" in err
+
+
+class TestParserReuse:
+    """``run`` parses with one parser per process; it must behave as a new one."""
+
+    HELP = [["--help"], *([command, "--help"] for command in SUMMARY_KEYS),
+            ["bench", "--help"]]
+    ERRORS = [["transmogrify"], ["mh", "--k", "3"], ["mh", "--k", "0"],
+              ["lmh", "--mesh", "m.off", "--solver", "dense"], []]
+
+    def test_parser_is_built_once(self):
+        assert cli._parser() is cli._parser()
+
+    @pytest.mark.parametrize("argv", HELP, ids=" ".join)
+    def test_help_matches_a_new_parser(self, capsys, argv):
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args(argv)
+        expected = capsys.readouterr().out
+        assert expected
+        for _ in range(2):
+            assert cli.run(argv) == 0
+            assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize("argv", ERRORS, ids=" ".join)
+    def test_errors_match_a_new_parser(self, capsys, argv):
+        with pytest.raises(cli.CliError) as exc:
+            cli.build_parser().parse_args(argv)
+        for _ in range(2):
+            assert cli.run(argv) == 1
+            assert capsys.readouterr().err == f"error: {exc.value}\n"
+
+    def test_repeated_runs_give_the_same_outputs(self, capsys, mesh_file,
+                                                 tmp_path):
+        region_file = make_region(capsys, mesh_file, tmp_path)
+        commands = [
+            ["mh", "--mesh", str(mesh_file), "--k", "6"],
+            ["lmh", "--mesh", str(mesh_file), "--region", region_file,
+             "--k", "4", "--kprime", "6", "--seed", "3"],
+            ["region", "--mesh", str(mesh_file), "--seeds", "5", "--prefix", "s_"],
+        ]
+        runs = []
+        for out in ("a", "b"):
+            d = tmp_path / out
+            outputs = []
+            for argv in commands:
+                assert cli.run(["mh", "--k", "0"]) == 1  # an error in between
+                assert cli.run([*argv, "--out-dir", str(d)]) == 0
+                outputs.append(capsys.readouterr().out.replace(str(d), "<dir>"))
+            files = {p.name: p.read_bytes() for p in sorted(d.iterdir())}
+            runs.append((outputs, files))
+        assert runs[0] == runs[1]
+        assert len(runs[0][1]) == 5
