@@ -344,7 +344,8 @@ def compute_lmh(
         lam, Psi = smallest_eigenpairs(system, k, seed=seed)
     else:
         vals, vecs = dense_oracle_eig(system.q_apply(np.eye(n)), A)
-        lam, Psi = vals[:k], vecs[:, :k]
+        # a copy, so the basis does not keep all n eigenvectors alive
+        lam, Psi = vals[:k], vecs[:, :k].copy(order="F")
 
     # serial BLAS, as in the solve, keeps these diagnostics independent
     # of the thread count. A row-major A Psi makes each product round as

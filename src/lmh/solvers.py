@@ -41,9 +41,13 @@ Two dense routes exist for cross-checking and for exact constraints:
 system's ``sparse_part(0.0)``) to the A-orthogonal complement of a
 given subspace by a congruence with the compact Householder reflectors
 of that subspace's QR (a symmetric rank-2k' update), then solves the
-trailing block. It never forms the orthogonal factor, a complement
-basis or a copy of that block, so its memory peak is about one n-by-n
-array and its cost is the O(n^3) ``eigh``.
+trailing m-by-m block, m = n - k'. It never forms an n-by-n array, the
+orthogonal factor or a complement basis: the block's lower triangle is
+built from sparse products in a buffer from an anonymous ``mmap``, and
+the update and ``eigh`` touch only that triangle, so about half of one
+m-by-m array is resident. The buffer does not come from numpy because
+numpy advises transparent huge pages for large arrays, and 2 MiB pages
+would back the upper triangle too. Its cost is the O(n^3) ``eigh``.
 
 Thread policy, owned here: lmh runs BLAS at one thread. The exceptions
 are the kernels whose work grows faster than n: ``hard_constraint_eig``,
@@ -65,6 +69,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import itertools
+import mmap
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -379,10 +384,10 @@ class LowRankShiftedSystem:
     -----
     Z is factorized once, at the first solve, by ``factorize``; a
     singular, non-symmetric or non-positive-diagonal Z raises there.
-    The correction block ``Gamma = Z^{-1} (mu_perp B)`` and the n-by-k'
-    product ``Gamma (I + B^T Gamma)^{-1}`` are computed once at first
-    solve and reused for every subsequent right-hand side; Gamma is
-    refined against Z (``_refine``, at most 3 steps, bound ||Z||_1). A
+    The n-by-k' product ``Gamma (I + B^T Gamma)^{-1}`` of the correction
+    block ``Gamma = Z^{-1} (mu_perp B)`` is computed once at first solve
+    and reused for every subsequent right-hand side; Gamma is refined
+    against Z (``_refine``, at most 3 steps, bound ||Z||_1) and not kept. A
     Woodbury step costs one bare LU solve of Z and two products with
     n-by-k' blocks; the refinement loop of ``solve_shifted`` around it,
     on the full system, stops at a
@@ -457,17 +462,17 @@ class LowRankShiftedSystem:
         return factorize(self.Z)
 
     @functools.cached_property
-    def _gamma(self):
-        return _refine(
+    def _correction(self):
+        """``Gamma (I + B^T Gamma)^-1``, so a Woodbury step is one GEMV pair.
+
+        Gamma itself is a local: only this product is kept.
+        """
+        gamma = _refine(
             lambda x: self.Z @ x, self._lu.solve, self.mu_perp * self.B,
             1e-12, 3, self._z_norm,
         )
-
-    @functools.cached_property
-    def _correction(self):
-        """``Gamma (I + B^T Gamma)^-1``, so a Woodbury step is one GEMV pair."""
-        inner = np.eye(self.rank) + self.B.T @ self._gamma
-        return np.linalg.solve(inner.T, self._gamma.T).T
+        inner = np.eye(self.rank) + self.B.T @ gamma
+        return np.linalg.solve(inner.T, gamma.T).T
 
     def _woodbury_step(self, rhs):
         xi = self._lu.solve(rhs)
@@ -978,6 +983,31 @@ def _compact_wy(h, tau):
     return Y, T
 
 
+def _lower_triangle_buffer(block):
+    """Column-major copy of the lower triangle of the square sparse ``block``.
+
+    Only the stored entries on or below the diagonal are written. The
+    buffer is a private anonymous ``mmap``: it starts as zero pages that
+    the kernel backs one 4 KiB page at a time, at the first write, so
+    pages that lie wholly in the upper triangle are never resident while
+    callers keep to the lower one. numpy's allocator advises huge pages
+    for an array this large, and with transparent huge pages in
+    ``madvise`` mode a write then backs 2 MiB at once: filling the lower
+    triangle of m = 4880 made 181 of its 182 MiB resident, against 109
+    MiB in 4 KiB pages. The buffer opts out of huge pages
+    (``MADV_NOHUGEPAGE``) where the platform has the flag; Linux honours
+    it in ``always`` mode too.
+    """
+    m = block.shape[0]
+    buffer = mmap.mmap(-1, 8 * m * m, flags=mmap.MAP_PRIVATE)
+    if hasattr(mmap, "MADV_NOHUGEPAGE"):
+        buffer.madvise(mmap.MADV_NOHUGEPAGE)
+    flat = np.frombuffer(buffer, dtype=np.float64)
+    lower = sparse.tril(block, format="coo")
+    flat[lower.coords[0] + m * lower.coords[1].astype(np.int64)] = lower.data
+    return flat.reshape((m, m), order="F")
+
+
 @_process_blas()
 def hard_constraint_eig(Z, A, Phi, k):
     """Exact eigenpairs of the penalized operator on the complement of Phi.
@@ -989,16 +1019,20 @@ def hard_constraint_eig(Z, A, Phi, k):
     reduction removes them structurally.
 
     With S = diag(sqrt(a)), the whitened operator ``M = S^-1 Z S^-1``
-    is formed once, in place. The compact QR of ``S Phi`` gives k'
-    Householder reflectors, Q = H_1 ... H_k' = I - Y T Y^T; the
-    congruence ``Q^T M Q`` is a symmetric rank-2k' update of M's lower
-    triangle (BLAS ``dsyr2k``), and its trailing block (rows and columns
-    k'..n-1) is M on the complement. ``eigh`` solves that block for its
-    k smallest eigenpairs in place, after the block is moved column by
-    column to the front of M's buffer, and only those n-by-k
-    eigenvectors are transformed back. Neither Q nor a complement basis
-    nor a copy of the block is formed, so the memory peak is about one
-    n-by-n array. k' = 0 runs the same steps with no reflectors.
+    stays sparse. The compact QR of ``S Phi`` gives k' Householder
+    reflectors, Q = H_1 ... H_k' = I - Y T Y^T, and the congruence is
+    ``Q^T M Q = M - V Y^T - Y V^T`` with the n-by-k' factor V formed from
+    the sparse product ``M (Y T)``. Its trailing block (rows and columns
+    k'..n-1, m = n - k' of them) is M on the complement: the lower
+    triangle of M's trailing block is written into a zero m-by-m buffer
+    (``_lower_triangle_buffer``), BLAS ``dsyr2k`` applies the rank-2k'
+    update to that lower triangle in place, and ``eigh`` (``dsyevr``,
+    lower) solves the block for its k smallest eigenpairs in place. None
+    of these reads or writes the upper triangle, so about half of the
+    m-by-m buffer becomes resident, plus one page per column, and numpy
+    allocates no n-by-n or m-by-m array. Only the n-by-k eigenvectors
+    are transformed back; neither Q nor a complement basis is formed.
+    k' = 0 runs the same steps with no reflectors.
 
     Parameters
     ----------
@@ -1035,30 +1069,27 @@ def hard_constraint_eig(Z, A, Phi, k):
     _require_finite("phi", Phi)
 
     s = np.sqrt(a)
-    M = Z.toarray(order="F")
-    M /= s[:, None]
-    M /= s[None, :]
+    M = sparse.csc_array(Z, dtype=np.float64, copy=True)
+    M.sum_duplicates()
+    M.data /= s[M.indices]
+    M.data /= np.repeat(s, np.diff(M.indptr))
     # S Phi has orthonormal columns when Phi is A-orthonormal
     (h, tau), _ = qr(s[:, None] * Phi, mode="raw")
     Y, T = _compact_wy(h, tau)
     # for symmetric M, Q^T M Q = M - V Y^T - Y V^T with V = X - Y K / 2,
-    # X = M Y T and K = T^T Y^T X; only the lower triangle is updated
+    # X = M Y T and K = T^T Y^T X
     X = M @ (Y @ T)
     V = X - 0.5 * (Y @ (T.T @ (Y.T @ X)))
-    M = blas.dsyr2k(-1.0, V, Y, 1.0, M, lower=1, overwrite_c=1)
-    # move the trailing block to the front of M's buffer as an
-    # F-contiguous m-by-m matrix; each column lands below its source, so
-    # no column is overwritten before it is read
-    m = n - kprime
-    buf = M.reshape(-1, order="F")
-    for j in range(m):
-        src = (kprime + j) * n + kprime
-        buf[j * m : (j + 1) * m] = buf[src : src + m]
-    trailing = buf[: m * m].reshape((m, m), order="F")
+    trailing = _lower_triangle_buffer(M[kprime:, kprime:])
+    trailing = blas.dsyr2k(
+        -1.0, V[kprime:], Y[kprime:], 1.0, trailing, lower=1, overwrite_c=1
+    )
     vals, vecs = eigh(
         trailing, lower=True, subset_by_index=(0, k - 1), overwrite_a=True,
         check_finite=False,
     )
+    # the last reference to the buffer: it is unmapped here
+    del trailing
     # Psi = S^-1 Q [0; vecs]
     Psi = -(Y @ (T @ (Y[kprime:].T @ vecs)))
     Psi[kprime:] += vecs

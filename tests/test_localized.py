@@ -351,6 +351,16 @@ class TestComputeLmh:
         with pytest.raises(ValueError, match="A-orthonormal"):
             compute_lmh(mesh, region, k=5, kprime=4, phi=phi, solver="hard")
 
+    def test_oracle_functions_own_their_data(self, unit_square):
+        # a view of the dense solve's n-by-n eigenvectors would keep all
+        # of them alive
+        n = unit_square.n_vertices
+        region = Region.binary(n, patch_vertices(unit_square, (0.0, 0.5), (0.0, 0.5)))
+        basis = compute_lmh(unit_square, region, k=5, kprime=4, solver="oracle")
+        assert basis.functions.shape == (n, 5)
+        assert basis.functions.flags.owndata
+        assert basis.functions.flags.f_contiguous
+
     def test_oracle_runs_no_sparse_factorization(self, unit_square, splu_calls):
         n = unit_square.n_vertices
         region = Region.binary(n, patch_vertices(unit_square, (0.0, 0.5), (0.0, 0.5)))
