@@ -4,6 +4,12 @@ Point-to-point maps are stored in pullback orientation: entry y holds
 the index of the corresponding vertex on mesh X, so a function on X is
 transported to Y by row selection. The functional map C expresses that
 transport in the two spectral bases.
+
+Memory stays independent of the product of the mesh sizes: the
+nearest-neighbour search and the geodesic error work in blocks of at
+most ``_BLOCK_ENTRIES`` float64 entries (2 MiB), and the rows that
+rounding cannot separate are decided by ``_euclidean``, the sequential
+distance that equals ``scipy.spatial.distance.cdist`` bit for bit.
 """
 
 from __future__ import annotations
@@ -11,12 +17,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .fem import mass_diagonal
 from .localized import SpectralBasis
 from .mesh import graph_geodesics, surface_area
 from .solvers import _process_blas
+
+# float64 entries per block of distances, 2 MiB
+_BLOCK_ENTRIES = 2**18
 
 
 @dataclass
@@ -91,9 +99,11 @@ def recover_p2p(fmap, basis_x=None, basis_y=None, chunk=512):
     Each Y-vertex embedding row is transported through C and matched to
     the nearest X-vertex embedding row in Euclidean norm; ties resolve
     to the lowest index. The indices equal ``cdist(...).argmin(axis=1)``:
-    squared distances of ``chunk`` rows at a time come from one GEMM,
-    and a row whose minimum they do not separate beyond their rounding
-    error is decided by ``cdist`` on its candidate columns.
+    squared distances of a block of rows come from one GEMM, and a row
+    whose minimum they do not separate beyond their rounding error is
+    decided by ``_euclidean`` on its candidate columns. A block holds at
+    most ``_BLOCK_ENTRIES`` distances (2 MiB), so memory does not grow
+    with n_X n_Y; the indices do not depend on the block size.
 
     Parameters
     ----------
@@ -101,6 +111,8 @@ def recover_p2p(fmap, basis_x=None, basis_y=None, chunk=512):
         The map, or a raw C matrix if both bases are passed explicitly.
     basis_x, basis_y : SpectralBasis, optional
         Default to the bases stored in the map.
+    chunk : int
+        Most rows of a block; fewer when n_X is large.
 
     Returns
     -------
@@ -109,7 +121,7 @@ def recover_p2p(fmap, basis_x=None, basis_y=None, chunk=512):
     C = getattr(fmap, "C", fmap)
     basis_x = basis_x if basis_x is not None else fmap.basis_x
     basis_y = basis_y if basis_y is not None else fmap.basis_y
-    # float64 throughout, as cdist computes and as the slack below assumes
+    # float64 throughout, as _euclidean computes and as the slack below assumes
     emb_x = np.asarray(basis_x.functions, dtype=np.float64)
     queries = np.asarray(basis_y.functions @ C, dtype=np.float64)  # (n_Y, m_X)
     if queries.shape[1] != emb_x.shape[1]:
@@ -122,23 +134,24 @@ def recover_p2p(fmap, basis_x=None, basis_y=None, chunk=512):
     #   themselves and 2 q.x by 2 gamma_m |q| |x| <= gamma_m (|q|^2 +
     #   |x|^2); the two additions, on values at most 2 (|q|^2 + |x|^2),
     #   add 4u (|q|^2 + |x|^2). So |fl(d2) - d2| <= 2 g (|q|^2 + |x|^2).
-    # - cdist: m differences, m squares, the sum and the root give
-    #   cdist^2 = d2 (1 + t), |t| <= gamma_(m+4), and d2 <= 2 (|q|^2 +
-    #   |x|^2), so cdist^2 is also within 2 g (|q|^2 + |x|^2) of d2.
-    # If cdist_j <= cdist_i, then fl(d2)_j <= fl(d2)_i + 8 g (|q|^2 +
-    # R^2) with R = max |x|: cdist's argmin lies in the band below. The
-    # four spare terms of g cover the rounding of the band edge itself.
+    # - _euclidean: m differences, m squares, the sum and the root give
+    #   e^2 = d2 (1 + t), |t| <= gamma_(m+4), and d2 <= 2 (|q|^2 +
+    #   |x|^2), so e^2 is also within 2 g (|q|^2 + |x|^2) of d2.
+    # If e_j <= e_i, then fl(d2)_j <= fl(d2)_i + 8 g (|q|^2 + R^2) with
+    # R = max |x|: _euclidean's argmin lies in the band below. The four
+    # spare terms of g cover the rounding of the band edge itself.
     m = emb_x.shape[1]
     u = 0.5 * np.finfo(np.float64).eps
     g = (m + 8) * u / (1.0 - (m + 8) * u)
     x_sq = np.einsum("ij,ij->i", emb_x, emb_x)
     r_sq = x_sq.max(initial=0.0)
     out = np.empty(queries.shape[0], dtype=np.int64)
+    rows = max(1, min(chunk, _BLOCK_ENTRIES // max(1, len(emb_x))))
     # the GEMM's work grows as n_Y n_X, so it keeps the process BLAS
     # threads; the band makes the indices exact in any summation order
     with _process_blas():
-        for lo in range(0, queries.shape[0], chunk):
-            q = queries[lo : lo + chunk]
+        for lo in range(0, queries.shape[0], rows):
+            q = queries[lo : lo + rows]
             q_sq = np.einsum("ij,ij->i", q, q)
             d2 = q @ emb_x.T
             d2 *= -2.0
@@ -148,12 +161,27 @@ def recover_p2p(fmap, basis_x=None, basis_y=None, chunk=512):
             slack = 8.0 * g * (q_sq + r_sq)
             band = d2 <= (d2[np.arange(len(q)), best] + slack)[:, None]
             for row in np.flatnonzero(band.sum(axis=1) != 1):
-                # a NaN row has an empty band; cdist decides it on all columns
+                # a NaN row has an empty band; it is decided on all columns
                 cols = np.flatnonzero(band[row]) if band[row].any() else np.arange(len(emb_x))
-                d = cdist(q[row : row + 1], emb_x[cols])
+                d = _euclidean(q[row], emb_x[cols])
                 best[row] = cols[np.argmin(d)]  # the lowest index on ties
             out[lo : lo + len(q)] = best
     return out
+
+
+def _euclidean(q, points):
+    """Distances from ``q`` to each row of ``points``, as ``cdist`` rounds them.
+
+    The squares of q_j - x_j are summed over the coordinates in order
+    and the root is taken last: the operations, in the order, of
+    ``scipy.spatial.distance.cdist(q[None], points)[0]``.
+    """
+    sq = np.zeros(len(points))
+    for j in range(points.shape[1]):
+        diff = q[j] - points[:, j]
+        diff *= diff
+        sq += diff
+    return np.sqrt(sq)
 
 
 @dataclass
@@ -174,6 +202,8 @@ def geodesic_error_stats(recovered, truth, mesh, n_thresholds=100, max_threshold
     correspondents, normalized by the square root of the mesh area (so
     it is invariant to uniform scaling). The cumulative curve samples
     ``n_thresholds`` evenly spaced thresholds in [0, max_threshold].
+    Distances come from blocks of at most ``_BLOCK_ENTRIES`` entries, one
+    ``graph_geodesics`` call per block of mismatched true correspondents.
 
     Parameters
     ----------
@@ -200,10 +230,16 @@ def geodesic_error_stats(recovered, truth, mesh, n_thresholds=100, max_threshold
     mismatched = recovered != truth
     if mismatched.any():
         sources = np.unique(truth[mismatched])
-        dist = graph_geodesics(mesh, sources)
-        row = {int(s): i for i, s in enumerate(sources)}
-        idx = np.fromiter((row[int(t)] for t in truth[mismatched]), dtype=np.int64)
-        eps[mismatched] = dist[idx, recovered[mismatched]] * scale
+        rows = np.searchsorted(sources, truth[mismatched])
+        cols = recovered[mismatched]
+        err = np.empty(rows.size)
+        # one block of sources at a time keeps the distances to 2 MiB
+        step = max(1, _BLOCK_ENTRIES // n)
+        for lo in range(0, sources.size, step):
+            dist = graph_geodesics(mesh, sources[lo : lo + step])
+            sel = (rows >= lo) & (rows < lo + step)
+            err[sel] = dist[rows[sel] - lo, cols[sel]]
+        eps[mismatched] = err * scale
     thresholds = np.linspace(0.0, max_threshold, n_thresholds)
     fractions = (eps[None, :] <= thresholds[:, None]).mean(axis=1)
     return ErrorStats(

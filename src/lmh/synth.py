@@ -96,24 +96,25 @@ def icosphere(subdivisions=3, radius=1.0):
         dtype=np.int64,
     )
     for _ in range(subdivisions):
-        verts = list(vertices)
-        cache = {}
-
-        def midpoint(i, j):
-            key = (i, j) if i < j else (j, i)
-            if key not in cache:
-                m = verts[i] + verts[j]
-                m /= np.linalg.norm(m)
-                cache[key] = len(verts)
-                verts.append(m)
-            return cache[key]
-
-        new_faces = []
-        for a, b, c in faces:
-            ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
-            new_faces += [[a, ab, ca], [b, bc, ab], [c, ca, bc], [ab, bc, ca]]
-        vertices = np.array(verts)
-        faces = np.array(new_faces, dtype=np.int64)
+        # edges (a,b), (b,c), (c,a) of each face; a new vertex per edge,
+        # numbered in the order of the edge's first occurrence
+        ends = faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+        keys, first, inverse = np.unique(
+            np.sort(ends, axis=1), axis=0, return_index=True, return_inverse=True
+        )
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        mid = len(vertices) + rank[inverse.ravel()].reshape(-1, 3)
+        m = vertices[keys[order, 0]] + vertices[keys[order, 1]]
+        # m @ m per row is the ddot of np.linalg.norm on one 3-vector
+        m /= np.sqrt(m[:, None, :] @ m[:, :, None])[:, 0]
+        ab, bc, ca = mid.T
+        a, b, c = faces.T
+        faces = np.stack(
+            [a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca], axis=1
+        ).reshape(-1, 3)
+        vertices = np.vstack([vertices, m])
     return TriMesh(radius * vertices, faces)
 
 

@@ -1,11 +1,20 @@
 """Functional maps, point-to-point recovery, and geodesic error stats."""
 
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
+import lmh
+from lmh import fmap as lmhfmap
 from lmh.fem import assemble_mass, assemble_stiffness
 from lmh.fmap import (
+    _euclidean,
     build_fmap,
     geodesic_error_stats,
     offblock_energy,
@@ -13,7 +22,7 @@ from lmh.fmap import (
     stack_bases,
 )
 from lmh.localized import Region, SpectralBasis, compute_lmh, compute_mh
-from lmh.mesh import TriMesh
+from lmh.mesh import TriMesh, graph_geodesics, surface_area
 from lmh.synth import bump_sphere, cap_vertices, grid_mesh
 
 from oracles import all_pairs_shortest, nearest_index, triangle_area
@@ -32,6 +41,18 @@ def square_pair():
     Y = grid_mesh(13, 13)
     p2p = cdist(Y.vertices, X.vertices).argmin(axis=1)
     return X, Y, p2p
+
+
+def traced_peak(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` and the traced peak of new allocations."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn(*args, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return out, peak
 
 
 class TestBuildFmap:
@@ -111,6 +132,16 @@ class TestRecoverP2p:
         with pytest.raises(ValueError):
             recover_p2p(np.eye(5), basis_x=basis, basis_y=basis)
 
+    def test_distance_blocks_are_bounded_by_bytes(self, rng):
+        # 512 rows of 8000 distances would be 31 MiB; a block holds 2 MiB
+        n, m = 8000, 20
+        basis_x = embedding(rng.normal(size=(n, m)))
+        basis_y = embedding(rng.normal(size=(n, m)))
+        out, peak = traced_peak(recover_p2p, np.eye(m),
+                                basis_x=basis_x, basis_y=basis_y)
+        queries_and_output = n * m * 8 + out.nbytes
+        assert peak - queries_and_output < 8 * 2**20
+
 
 def embedding(rows):
     rows = np.asarray(rows, dtype=np.float64)
@@ -174,6 +205,33 @@ class TestNearestIndex:
         )
 
 
+class TestEuclidean:
+    @pytest.mark.parametrize("m", [1, 3, 20, 60])
+    def test_equals_cdist_bit_for_bit(self, rng, m):
+        points = rng.normal(size=(500, m)) * rng.uniform(1e-3, 1e3, size=m)
+        for q in rng.normal(size=(20, m)) * 10.0:
+            np.testing.assert_array_equal(
+                _euclidean(q, points).view(np.int64),
+                cdist(q[None], points)[0].view(np.int64),
+            )
+
+    def test_no_module_imports_scipy_spatial(self):
+        src = str(Path(lmh.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        script = (
+            "import sys, lmh, lmh.cli\n"
+            "print(sorted(m for m in sys.modules"
+            " if m.startswith(('scipy.spatial', 'scipy.special'))))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+
 class TestGeodesicErrorStats:
     def test_identity_map_is_exact(self, unit_square):
         truth = np.arange(unit_square.n_vertices)
@@ -221,6 +279,32 @@ class TestGeodesicErrorStats:
         assert np.all(np.diff(stats.fractions) >= 0.0)
         assert stats.fractions[0] == np.mean(stats.per_vertex == 0.0)
         assert stats.fractions[-1] <= 1.0
+
+    def test_many_mismatches_in_bounded_blocks(self, rng, monkeypatch):
+        mesh = grid_mesh(40, 40)  # 1681 sources x 1681 vertices: 22 MB at once
+        n = mesh.n_vertices
+        truth = rng.permutation(n)
+        recovered = rng.integers(0, n, size=n)
+        calls = []
+
+        def counting(mesh, sources):
+            calls.append(len(sources))
+            return graph_geodesics(mesh, sources)
+
+        monkeypatch.setattr(lmhfmap, "graph_geodesics", counting)
+        stats, peak = traced_peak(geodesic_error_stats, recovered, truth, mesh)
+        assert len(calls) > 1 and max(calls) * n <= 2**18
+        assert peak < 6 * 2**20
+        # the one-shot computation
+        mismatched = recovered != truth
+        sources = np.unique(truth[mismatched])
+        dist = graph_geodesics(mesh, sources)
+        row = {int(s): i for i, s in enumerate(sources)}
+        idx = np.array([row[int(t)] for t in truth[mismatched]])
+        expected = np.zeros(n)
+        expected[mismatched] = (dist[idx, recovered[mismatched]]
+                                * (1.0 / np.sqrt(surface_area(mesh))))
+        np.testing.assert_array_equal(stats.per_vertex, expected)
 
     def test_input_validation(self, unit_square):
         n = unit_square.n_vertices

@@ -17,7 +17,7 @@ from lmh.mesh import (
     write_off,
 )
 from lmh.localized import Region
-from lmh.synth import grid_mesh, single_triangle, tetrahedron
+from lmh.synth import grid_mesh, icosphere, single_triangle, tetrahedron
 
 from oracles import all_pairs_shortest, bellman_ford, mesh_edges_with_lengths
 
@@ -280,3 +280,40 @@ class TestArea:
         np.testing.assert_allclose(
             triangle_areas(moved), triangle_areas(tetra), rtol=1e-12
         )
+
+
+def looped_icosphere(subdivisions):
+    """Icosphere subdivided one face and one midpoint at a time."""
+    base = icosphere(0)
+    vertices, faces = base.vertices, base.faces
+    for _ in range(subdivisions):
+        verts = list(vertices)
+        cache = {}
+
+        def midpoint(i, j):
+            key = (i, j) if i < j else (j, i)
+            if key not in cache:
+                m = verts[i] + verts[j]
+                m /= np.linalg.norm(m)
+                cache[key] = len(verts)
+                verts.append(m)
+            return cache[key]
+
+        new_faces = []
+        for a, b, c in faces:
+            ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
+            new_faces += [[a, ab, ca], [b, bc, ab], [c, ca, bc], [ab, bc, ca]]
+        vertices = np.array(verts)
+        faces = np.array(new_faces, dtype=np.int64)
+    return vertices, faces
+
+
+class TestIcosphere:
+    @pytest.mark.parametrize("subdivisions", range(6))
+    def test_equals_face_by_face_subdivision(self, subdivisions):
+        vertices, faces = looped_icosphere(subdivisions)
+        mesh = icosphere(subdivisions)
+        assert mesh.n_vertices == 10 * 4**subdivisions + 2
+        # bit for bit: seeds on icospheres reproduce only if no vertex moves
+        assert np.array_equal(mesh.vertices, vertices)
+        assert np.array_equal(mesh.faces, faces)

@@ -1082,9 +1082,9 @@ def recording(real, controls, seen):
 
 
 def record_dense_kernels(monkeypatch, controls):
-    """Pool counts at each ``eigh`` of the dense routes and ``cdist`` of p2p."""
+    """Pool counts at each ``eigh`` of the dense routes and tie-break of p2p."""
     seen = []
-    for module, name in ((solvers, "eigh"), (fmap, "cdist")):
+    for module, name in ((solvers, "eigh"), (fmap, "_euclidean")):
         monkeypatch.setattr(module, name, recording(
             getattr(module, name), controls, seen))
     return seen
@@ -1093,8 +1093,8 @@ def record_dense_kernels(monkeypatch, controls):
 def tied_basis():
     """Four functions on 30 vertices whose rows 3 and 7 are equal.
 
-    Both of their p2p queries tie in the distance GEMM, and ``cdist``
-    decides each inside the chunk loop.
+    Both of their p2p queries tie in the distance GEMM, and ``_euclidean``
+    decides each inside the block loop.
     """
     functions = np.random.default_rng(0).standard_normal((30, 4))
     functions[7] = functions[3]
@@ -1217,7 +1217,7 @@ class TestBlasThreadScope:
              "--basis-y", str(basis), *out],
         ):
             assert cli.run(argv) == 0
-        # one eigh each for hard, oracle and bench, two cdist for the tie
+        # one eigh each for hard, oracle and bench, two _euclidean for the tie
         assert seen == [[2] * len(blas_pools)] * 5
 
     def test_lmh_operator_build_is_serial(self, blas_pools, unit_square,
