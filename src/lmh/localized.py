@@ -194,7 +194,7 @@ def build_lmh_operator(W, A, region, phi, mu_r, mu_perp, sigma=None):
     mu_r, mu_perp : float
         Non-negative penalty weights.
     sigma : float, optional
-        Shift of the system's solves; defaults to ``default_shift(W)``,
+        Shift of the system's solves; defaults to ``default_shift(W, A)``,
         a small negative value. At sigma = 0 the sparse part is exactly
         ``W + mu_r A diag(v)``.
 
@@ -232,7 +232,7 @@ def build_lmh_operator(W, A, region, phi, mu_r, mu_perp, sigma=None):
             raise ValueError("phi must be finite and A-orthonormal (within 1e-6)")
 
     if sigma is None:
-        sigma = default_shift(W)
+        sigma = default_shift(W, a)
     # an infinite mu_r gives inf * 0 = NaN, which the system names
     with np.errstate(invalid="ignore"):
         penalty = mu_r * a * v

@@ -20,9 +20,9 @@ on Z + Z^T, and factors it in symmetric mode without pivoting. No n-by-n
 dense intermediate is formed on this path. Each inner solve costs one LU
 solve as a rule: the refinement loop on the full system (``_refine``)
 stops once the normwise backward error is at roundoff level, which the
-first Woodbury step usually reaches. When the Ritz pairs of the Lanczos
-iteration miss the residual check, a few shift-invert block steps with
-Rayleigh-Ritz repair them before the check is final.
+first Woodbury step usually reaches. Every returned pair passes a
+residual check in eigenvalue units, and nothing repairs a pair that
+misses it: the solve raises ``NumericalError``.
 
 Memory rule: once ``eigsh`` has converged, the sparse path allocates
 nothing n-by-k-sized. The Lanczos basis, (ncv + 1) rows of n, is the
@@ -104,12 +104,19 @@ def check_dense_size(solver, n):
         )
 
 
-def default_shift(W):
-    """Small negative spectral shift scaled to the stiffness diagonal."""
-    mean_diag = float(np.mean(W.diagonal()))
-    if not np.isfinite(mean_diag) or mean_diag <= 0.0:
-        mean_diag = 1.0
-    return -1e-8 * mean_diag
+def default_shift(W, A):
+    """Small negative shift in eigenvalue units, -1e-6 mean(diag(W) / a).
+
+    diag(W) / a is the diagonal of the whitened ``A^-1/2 W A^-1/2``, so
+    the shift scales like the eigenvalues: by 1/L^2 when the mesh is
+    scaled by L.
+
+    Raises
+    ------
+    ValueError
+        If a mass entry is zero, negative, infinite or NaN.
+    """
+    return -1e-6 * float(np.mean(W.diagonal() / _positive_mass(A)))
 
 
 @functools.cache
@@ -499,22 +506,13 @@ def woodbury_solve(system, b):
     return system.solve_shifted(rhs)
 
 
-def canonical_signs(Psi):
-    """Flip column signs so the first significant entry is positive.
+def _flip_signs(Psi):
+    """Canonical column signs of the float64 array Psi, in place; returns Psi.
 
     The first entry whose magnitude exceeds 1e-6 times the column norm
-    decides the sign; columns without one are left untouched. Returns a
-    new array in the layout of Psi; the solvers flip their own results
-    in place instead.
-    """
-    return _flip_signs(np.array(Psi, dtype=np.float64))
-
-
-def _flip_signs(Psi):
-    """``canonical_signs`` in place on the float64 array Psi, which it returns.
-
-    Only boolean masks are formed, and the product with 1 or -1 is
-    exact, so the bytes are those of a flipped copy.
+    decides the sign; columns without one are left untouched. Only
+    boolean masks are formed, and the product with 1 or -1 is exact, so
+    the bytes are those of a flipped copy.
     """
     threshold = 1e-6 * np.sqrt(np.einsum("ij,ij->j", Psi, Psi))
     big = (Psi > threshold) | (Psi < -threshold)
@@ -558,7 +556,9 @@ def dense_oracle_eig(Q, A):
 # relative accuracy of the Ritz values of the inverted operator
 _LANCZOS_TOL = 1e-10
 # acceptance threshold for the verified residuals
-# |Q psi - lam A psi| <= _RESIDUAL_TOL * max(1, |lam|) * |A psi|
+# |Q psi - lam A psi| <= _RESIDUAL_TOL * max(1 / sum(a), |lam|) * |A psi|
+# plus the solves' backward-error floor (_residual_failure); 1 / sum(a),
+# one over the surface area, is the floor in eigenvalue units
 _RESIDUAL_TOL = 1e-8
 # a Gram-Schmidt pass that keeps less than this fraction of the vector's
 # norm has lost digits to cancellation and is repeated (Daniel, Gragg,
@@ -620,12 +620,13 @@ def _lanczos_steps(op, V, T, start, rng):
     up to the diagonal, and the norm beta_j couples V[j] and V[j + 1].
     The off-tridiagonal coefficients are roundoff amplified by a large
     eigenvalue of op; keeping them, rather than a tridiagonal T, cut
-    the worst residual of ``compute_mh(icosphere(3), 21)`` from 4% of
-    the check's bound to 0.7%. A result in the span of V (an invariant
-    subspace) gives beta_j = 0, and the iteration goes on from op of a
-    random vector, or from the random vector itself when op maps it into
-    the span of V, orthogonalized against V. Returns the last beta, the
-    norm of the residual whose direction is ``V[m]``.
+    the worst residual of ``compute_mh(icosphere(3), 21)`` at the
+    shift -3.5e-8 from 4% of the check's bound to 0.7%. A result in
+    the span of V (an invariant subspace) gives beta_j = 0, and the
+    iteration goes on from op of a random vector, or from the random
+    vector itself when op maps it into the span of V, orthogonalized
+    against V. Returns the last beta, the norm of the residual whose
+    direction is ``V[m]``.
     """
     m = T.shape[0]
     for j in range(start, m):
@@ -664,9 +665,10 @@ def _ritz_pairs(T):
     LAPACK's MRRR driver (``dsyevr``) keeps the small eigenpairs of a T
     graded by a shift-invert accurate relative to themselves. Divide and
     conquer (``dsyevd``, behind ``numpy.linalg.eigh``) treats couplings
-    below eps times the largest eigenvalue as zero: with a shift near a
-    zero eigenvalue, theta ~ 3e7, that left residuals up to 5e-6 on the
-    16 smallest eigenpairs of the 121-vertex unit-square grid.
+    below eps times the largest eigenvalue as zero: at the shift
+    -3.3e-8, which makes the zero eigenvalue of the 121-vertex
+    unit-square grid theta ~ 3e7, that left residuals up to 5e-6 on its
+    16 smallest eigenpairs.
     """
     theta, S, _, _, info = lapack.dsyevr(T, lower=1)
     if info:
@@ -747,10 +749,11 @@ def eigsh(op, v0, k, ncv, tol, rng, maxiter=None):
     -----
     The first basis vector is ``op(v0)``, normalized: it damps the
     components of v0 along eigenvalues small next to the largest one.
-    After a shift just below a zero eigenvalue, theta ~ 3e7 otherwise
-    spreads over the first rows of T: from the random start itself, the
-    16 smallest eigenpairs of the 121-vertex unit-square grid kept
-    residuals up to 7e-8, against 1e-13.
+    A shift just below a zero eigenvalue makes it a large theta, which
+    otherwise spreads over the first rows of T: at the shift -3.3e-8
+    (theta ~ 3e7) and from the random start itself, the 16 smallest
+    eigenpairs of the 121-vertex unit-square grid kept residuals up to
+    7e-8, against 1e-13.
 
     The basis is stored as the rows of V, shape (ncv + 1, n), so each
     Gram-Schmidt pass is an in-place ``dgemv`` on a contiguous block. A
@@ -813,14 +816,13 @@ def smallest_eigenpairs(system, k, seed=0):
     Parameters
     ----------
     system : LowRankShiftedSystem
-        The pencil: ``q_apply`` applies Q (the residual check, the block
-        polish and the small-problem dense fallback), ``mass`` is the
-        positive diagonal of A, and ``solve_shifted``
-        solves with ``Q - sigma A`` (a vector, or a block in the
-        polish), computing the LU at its first call, so the dense
-        fallback never factorizes. Its ``sigma`` must lie strictly
-        below the smallest eigenvalue (small negative values work for
-        positive semi-definite Q).
+        The pencil: ``q_apply`` applies Q (the residual check and the
+        small-problem dense fallback), ``mass`` is the positive diagonal
+        of A, and ``solve_shifted`` solves with ``Q - sigma A``,
+        computing the LU at its first call, so the dense fallback never
+        factorizes. Its ``sigma`` must lie strictly below the smallest
+        eigenvalue (small negative values work for positive
+        semi-definite Q).
     k : int
         Number of eigenpairs, ``1 <= k <= n``.
     seed : int
@@ -858,15 +860,14 @@ def smallest_eigenpairs(system, k, seed=0):
     the shifted solves allocate (the LU and the correction block at the
     first solve) and less than one n-by-k array besides.
 
-    The Lanczos tolerance is relative to each Ritz value of the
-    inverted operator, and single-vector Lanczos separates a degenerate
-    pair only through roundoff, so a returned pair can miss the residual
-    check. Only then, up to ``_POLISH_ROUNDS`` times until the check
-    passes, the whole block of Ritz vectors takes one shift-invert
-    subspace step (``solve_shifted`` of ``A Psi``), is orthonormalized and
-    goes through a Rayleigh-Ritz step with Q and A. A run whose check
-    passes at once returns the Lanczos pairs unchanged. The dense fallback
-    for ``k > n - 2`` takes the same check without the polish.
+    Every returned pair, from ``eigsh`` or from the dense fallback for
+    ``k > n - 2``, passes ``_residual_failure``'s check, or the solve
+    raises ``NumericalError`` (exit code 2 on the command line); no step
+    repairs a pair that misses it. The Lanczos tolerance is relative to
+    each Ritz value of the inverted operator, so a zero eigenvalue,
+    theta = -1/sigma, must not dwarf the wanted ones: ``default_shift``
+    sets sigma in eigenvalue units, so that ratio does not depend on the
+    scale of the mesh.
     """
     a = system.mass
     n = a.size
@@ -881,7 +882,6 @@ def smallest_eigenpairs(system, k, seed=0):
                 f"exceeds the dense guard {DENSE_ORACLE_MAX_N}"
             )
         lam, Psi = dense_oracle_eig(system.q_apply(np.eye(n)), a)
-        polish_rounds = 0
     else:
         # a restart can purge one copy of a degenerate pair sitting
         # exactly on the window edge; computing a few pairs past k and
@@ -906,56 +906,46 @@ def smallest_eigenpairs(system, k, seed=0):
         order = np.argsort(lam)
         if np.any(order != np.arange(order.size)):
             lam, Psi = lam[order], Psi[:, order]
-        polish_rounds = _POLISH_ROUNDS
     with _serial_blas():
         failure = _residual_failure(system, lam[:k], Psi[:, :k])
-        for _ in range(polish_rounds):
-            if failure is None:
-                break
-            lam, Psi = _block_polish(system, Psi)
-            failure = _residual_failure(system, lam[:k], Psi[:, :k])
         if failure is not None:
             raise NumericalError(failure)
         # a sign flip negates the residual exactly, so the check holds
         return lam[:k], _flip_signs(Psi[:, :k])
 
 
-# shift-invert subspace steps tried on a block whose residual check fails
-_POLISH_ROUNDS = 3
-
-
-def _block_polish(system, Psi):
-    """One shift-invert subspace step on the block Psi, then Rayleigh-Ritz.
-
-    Returns the Ritz values ascending and A-orthonormal Ritz vectors of
-    the pencil (Q, A) on the span of ``system.solve_shifted(A Psi)``,
-    column-major like the Lanczos ones.
-    """
-    a = system.mass
-    Y, _ = qr(system.solve_shifted(a[:, None] * Psi), mode="economic")
-    lam, C = eigh(Y.T @ system.q_apply(Y), Y.T @ (a[:, None] * Y))
-    return lam, np.asfortranarray(Y @ C)
-
-
 def _residual_failure(system, lam, Psi):
     """Message naming the worst pair over the residual bound, or None.
 
-    The bound is ``_RESIDUAL_TOL * max(1, |lam|) * |A psi|`` per pair.
-    The pairs are checked ``_CHECK_COLUMNS`` at a time, so the
-    temporaries stay a few such blocks.
+    The bound is ``_RESIDUAL_TOL * max(1 / sum(a), |lam|) * |A psi|``
+    per pair. Its floor, one over the surface area, has the units of an
+    eigenvalue: it is 1 on a mesh of unit area, and on a mesh scaled by
+    L the bound of every pair, a zero eigenvalue's too, scales like the
+    roundoff in ``Q psi``. To it is added the backward-error floor at
+    which the shifted solves stop refining,
+    ``_BACKWARD_ERROR_ULPS * eps * norm_bound * |psi|``: no pair is more
+    accurate than the solves it came from. It is the larger term only
+    for a mu_perp far above the eigenvalues: with mu_perp = 1e5 on a
+    plane of area 1e6, even the dense oracle's pairs were 7 times over
+    the first. The pairs are checked ``_CHECK_COLUMNS`` at a time, so
+    the temporaries stay a few such blocks.
     """
     a = system.mass
     res_norms = np.empty(lam.size)
     mass_norms = np.empty(lam.size)
+    psi_norms = np.empty(lam.size)
     for c in range(0, lam.size, _CHECK_COLUMNS):
         cols = slice(c, c + _CHECK_COLUMNS)
+        psi_norms[cols] = np.linalg.norm(Psi[:, cols], axis=0)
         residuals = system.q_apply(Psi[:, cols])
         aPsi = a[:, None] * Psi[:, cols]
         mass_norms[cols] = np.linalg.norm(aPsi, axis=0)
         aPsi *= lam[None, cols]
         residuals -= aPsi
         res_norms[cols] = np.linalg.norm(residuals, axis=0)
-    ref = _RESIDUAL_TOL * np.maximum(1.0, np.abs(lam)) * mass_norms
+    ref = _RESIDUAL_TOL * np.maximum(1.0 / a.sum(), np.abs(lam)) * mass_norms
+    ulp = _BACKWARD_ERROR_ULPS * np.finfo(np.float64).eps
+    ref += ulp * system.norm_bound * psi_norms
     if not np.any(res_norms > ref):
         return None
     worst = int(np.argmax(res_norms - ref))

@@ -662,6 +662,16 @@ class TestExitCodes:
         assert cli.run(["lmh", "--help"]) == 0
         capsys.readouterr()
 
+    def test_small_scale_mesh_exits_0(self, capsys, tmp_path):
+        # the default shift and the residual check scale with the mesh
+        ico = icosphere(3)
+        path = tmp_path / "small_sphere.off"
+        write_off((ico.vertices * 0.01, ico.faces), path)
+        code = cli.run(["mh", "--mesh", str(path), "--k", "21",
+                        "--out-dir", str(tmp_path)])
+        assert code == 0, capsys.readouterr().err
+        assert np.loadtxt(tmp_path / "mh_spectrum.txt").shape == (21,)
+
     def test_numerical_failure_exits_2(self, capsys, mesh_file, tmp_path,
                                        monkeypatch):
         def boom(*args, **kwargs):
