@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import dijkstra
@@ -108,6 +110,25 @@ class TriMesh:
     def edges(self):
         """All unique undirected edges as sorted (k, 2) vertex pairs."""
         return self._edges
+
+    @functools.cached_property
+    def edge_graph(self):
+        """Sparse symmetric adjacency weighted by Euclidean edge length.
+
+        Built at first use and kept: the mesh's arrays are read-only, so
+        the graph cannot go stale, and its own arrays are read-only too.
+        """
+        e = self._edges
+        w = np.linalg.norm(self.vertices[e[:, 0]] - self.vertices[e[:, 1]], axis=1)
+        n = self.n_vertices
+        g = sparse.coo_array(
+            (np.concatenate([w, w]), (np.concatenate([e[:, 0], e[:, 1]]),
+                                      np.concatenate([e[:, 1], e[:, 0]]))),
+            shape=(n, n),
+        ).tocsr()
+        for arr in (g.data, g.indices, g.indptr):
+            arr.setflags(write=False)
+        return g
 
     def __repr__(self):
         return f"TriMesh({self.n_vertices} vertices, {self.n_faces} faces)"
@@ -329,19 +350,6 @@ def membership(region, n):
     return u
 
 
-def edge_graph(mesh):
-    """Sparse symmetric adjacency weighted by Euclidean edge length."""
-    e = mesh.edges
-    w = np.linalg.norm(mesh.vertices[e[:, 0]] - mesh.vertices[e[:, 1]], axis=1)
-    n = mesh.n_vertices
-    g = sparse.coo_array(
-        (np.concatenate([w, w]), (np.concatenate([e[:, 0], e[:, 1]]),
-                                  np.concatenate([e[:, 1], e[:, 0]]))),
-        shape=(n, n),
-    )
-    return g.tocsr()
-
-
 def graph_geodesics(mesh, sources):
     """Shortest-path distances along mesh edges.
 
@@ -365,7 +373,7 @@ def graph_geodesics(mesh, sources):
         raise ValueError("at least one source vertex is required")
     if idx.min() < 0 or idx.max() >= n:
         raise ValueError(f"source index out of range [0, {n})")
-    dist = dijkstra(edge_graph(mesh), directed=False, indices=idx)
+    dist = dijkstra(mesh.edge_graph, directed=False, indices=idx)
     return dist[0] if scalar else dist
 
 

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from lmh import mesh as lmh_mesh
 from lmh.mesh import (
     MeshError,
     TriMesh,
@@ -215,6 +216,24 @@ class TestGeodesics:
         assert n <= 200
         D = graph_geodesics(unit_square, np.arange(n))
         np.testing.assert_allclose(D, D.T, atol=1e-12)
+
+    def test_edge_graph_is_built_once_per_mesh(self, monkeypatch):
+        # the double sweep of intrinsic_diameter and a later call share
+        # one read-only graph, and get the distances of a fresh mesh's
+        graphs = []
+        real_dijkstra = lmh_mesh.dijkstra
+
+        def spy(graph, **kwargs):
+            graphs.append(graph)
+            return real_dijkstra(graph, **kwargs)
+
+        monkeypatch.setattr(lmh_mesh, "dijkstra", spy)
+        mesh = grid_mesh(12, 12)
+        intrinsic_diameter(mesh)
+        d = graph_geodesics(mesh, [0, 5])
+        assert len(graphs) == 3 and all(g is graphs[0] for g in graphs)
+        assert not graphs[0].data.flags.writeable
+        np.testing.assert_array_equal(d[1], graph_geodesics(grid_mesh(12, 12), 5))
 
     def test_source_out_of_range(self, unit_square):
         with pytest.raises(ValueError):

@@ -273,8 +273,8 @@ class TestShiftedSolveProperties:
     )
     def test_matches_dense_solve(self, unit_square, rank, mu_perp, shift,
                                  columns, seed):
-        # exercises the refinement loop both around the LU (inside the
-        # Woodbury step) and around the Woodbury step itself
+        # rank 0 or mu_perp = 0 is one bare LU solve; otherwise the
+        # Woodbury step is refined on the full system
         rng = np.random.default_rng(seed)
         W, A = assemble_stiffness(unit_square), assemble_mass(unit_square)
         a = mass_diagonal(A)
@@ -316,21 +316,17 @@ class TestShiftedSolveProperties:
 
 
 class TestOneLuSolvePerStep:
-    def test_relaxed_inner_solves_take_one_lu_solve(self, monkeypatch):
-        # one Woodbury step on a bare LU solve already has a roundoff-level
-        # backward error, so the refinement loop adds no second step
-        mesh = grid_mesh(30, 30, width=10.0, height=10.0)
-        xy = mesh.vertices[:, :2]
-        inside = np.flatnonzero(np.all((xy >= 2.5) & (xy <= 7.5), axis=1))
-        phi = compute_mh(mesh, 11).functions[:, :10]
-        counts = {"lu": 0, "inner": 0}
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        """Vector and block LU solves, shifted solves and ``apply`` calls."""
+        counts = dict.fromkeys(["lu", "block", "inner", "apply"], 0)
 
         class CountingLU:
             def __init__(self, lu):
                 self._lu = lu
 
             def solve(self, rhs):
-                counts["lu"] += 1
+                counts["lu" if rhs.ndim == 1 else "block"] += 1
                 return self._lu.solve(rhs)
 
             def __getattr__(self, name):
@@ -338,20 +334,66 @@ class TestOneLuSolvePerStep:
 
         real_splu = solvers.splu
         real_solve_shifted = LowRankShiftedSystem.solve_shifted
+        real_apply = LowRankShiftedSystem.apply
 
         def counting_solve_shifted(self, rhs):
             counts["inner"] += 1
             return real_solve_shifted(self, rhs)
+
+        def counting_apply(self, x):
+            counts["apply"] += 1
+            return real_apply(self, x)
 
         monkeypatch.setattr(
             solvers, "splu", lambda Z, **kwargs: CountingLU(real_splu(Z, **kwargs))
         )
         monkeypatch.setattr(LowRankShiftedSystem, "solve_shifted",
                             counting_solve_shifted)
+        monkeypatch.setattr(LowRankShiftedSystem, "apply", counting_apply)
+        return counts
+
+    def test_rank_zero_inner_solves_are_one_bare_lu_solve(self, counts):
+        # a pivot-free LU of an SPD Z is backward stable, so a solve
+        # without a low-rank term forms no residual to refine against
+        compute_mh(grid_mesh(30, 30, width=10.0, height=10.0), 11)
+        assert counts["inner"] > 0
+        assert counts["lu"] == counts["inner"], counts
+        assert counts["block"] == counts["apply"] == 0, counts
+
+    def test_relaxed_inner_solves_take_one_lu_solve(self, counts):
+        # one Woodbury step on a bare LU solve already has a roundoff-level
+        # backward error, so the refinement loop adds no second step; the
+        # correction block is one block LU solve, unrefined
+        mesh = grid_mesh(30, 30, width=10.0, height=10.0)
+        xy = mesh.vertices[:, :2]
+        inside = np.flatnonzero(np.all((xy >= 2.5) & (xy <= 7.5), axis=1))
+        phi = compute_mh(mesh, 11).functions[:, :10]
+        counts.update(dict.fromkeys(counts, 0))
         compute_lmh(mesh, Region.binary(mesh.n_vertices, inside), 20, 10,
                     mu_r=100.0, mu_perp=1e5, phi=phi)
         assert counts["inner"] > 0
         assert counts["lu"] <= 1.05 * counts["inner"], counts
+        assert counts["block"] == 1, counts
+
+    def test_low_rank_step_is_refined_to_the_floor(self, plane, plane_ops,
+                                                   plane_patch):
+        # at mu_r = 0, criterion 07's weakest localization, the Woodbury
+        # correction cancels: on these right-hand sides the bare step
+        # misses the backward-error floor by 8,000-25,000 ulps, and the
+        # refined solve stays below one
+        W, A = plane_ops
+        phi = compute_mh(plane, 20, W=W, A=A).functions
+        system, _ = build_lmh_operator(W, A, plane_patch, phi, 0.0, 1e5)
+        eps = np.finfo(np.float64).eps
+
+        def ulps(x, b):
+            r = np.linalg.norm(b - system.apply(x))
+            scale = system.norm_bound * np.linalg.norm(x) + np.linalg.norm(b)
+            return r / (eps * scale)
+
+        for b in np.random.default_rng(0).normal(size=(5, plane.n_vertices)):
+            assert ulps(system._woodbury_step(b), b) > solvers._BACKWARD_ERROR_ULPS
+            assert ulps(system.solve_shifted(b), b) <= solvers._BACKWARD_ERROR_ULPS
 
     def test_low_rank_factor_is_column_major(self, unit_square):
         # B^T x as one dot product per column keeps the Woodbury step at
