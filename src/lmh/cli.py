@@ -460,7 +460,8 @@ def build_parser():
     p.add_argument("--mu-r", type=_nonneg_float, default=DEFAULT_MU_R,
                    help="localization weight (default 100)")
     p.add_argument("--mu-perp", type=_nonneg_float, default=None,
-                   help="orthogonality weight (default: max(1e5, 10*lam_{k'+1}))")
+                   help="orthogonality weight (default: max(1e5, "
+                        "10*lam_{k'+1}), or 1e5 with --phi or --kprime 0)")
     p.add_argument("--phi", default=None,
                    help="basis file with the harmonics to avoid (reuse an "
                         "mh run instead of recomputing)")

@@ -93,7 +93,7 @@ def build_fmap(basis_x, basis_y, p2p, A_y):
     return FunctionalMap(C=C, basis_x=basis_x, basis_y=basis_y)
 
 
-def recover_p2p(fmap, basis_x=None, basis_y=None, chunk=512):
+def recover_p2p(fmap, basis_x=None, basis_y=None):
     """Point-to-point map from a functional map by exact nearest neighbor.
 
     Each Y-vertex embedding row is transported through C and matched to
@@ -101,9 +101,10 @@ def recover_p2p(fmap, basis_x=None, basis_y=None, chunk=512):
     to the lowest index. The indices equal ``cdist(...).argmin(axis=1)``:
     squared distances of a block of rows come from one GEMM, and a row
     whose minimum they do not separate beyond their rounding error is
-    decided by ``_euclidean`` on its candidate columns. A block holds at
-    most ``_BLOCK_ENTRIES`` distances (2 MiB), so memory does not grow
-    with n_X n_Y; the indices do not depend on the block size.
+    decided by ``_euclidean`` on its candidate columns. A block has
+    ``max(1, _BLOCK_ENTRIES // n_X)`` rows, so it holds at most 2 MiB of
+    distances unless one row is larger, and memory does not grow with
+    n_X n_Y; the indices do not depend on the block size.
 
     Parameters
     ----------
@@ -111,8 +112,6 @@ def recover_p2p(fmap, basis_x=None, basis_y=None, chunk=512):
         The map, or a raw C matrix if both bases are passed explicitly.
     basis_x, basis_y : SpectralBasis, optional
         Default to the bases stored in the map.
-    chunk : int
-        Most rows of a block; fewer when n_X is large.
 
     Returns
     -------
@@ -146,7 +145,7 @@ def recover_p2p(fmap, basis_x=None, basis_y=None, chunk=512):
     x_sq = np.einsum("ij,ij->i", emb_x, emb_x)
     r_sq = x_sq.max(initial=0.0)
     out = np.empty(queries.shape[0], dtype=np.int64)
-    rows = max(1, min(chunk, _BLOCK_ENTRIES // max(1, len(emb_x))))
+    rows = max(1, _BLOCK_ENTRIES // max(1, len(emb_x)))
     # the GEMM's work grows as n_Y n_X, so it keeps the process BLAS
     # threads; the band makes the indices exact in any summation order
     with _process_blas():

@@ -50,30 +50,24 @@ def _load_matrix(path, what, expected):
     return M
 
 
-def save_basis(basis, basis_path, spectrum_path=None):
-    """Write functions ("n m" header then n rows) and eigenvalues."""
+def save_basis(basis, basis_path, spectrum_path):
+    """Write the functions ("n m" header then n rows) and the
+    eigenvalues (one per line)."""
     _save_matrix(basis.functions, basis_path)
-    if spectrum_path is not None:
-        _savetxt(spectrum_path, basis.spectrum)
+    _savetxt(spectrum_path, basis.spectrum)
 
 
-def load_basis(basis_path, spectrum_path=None, kind="MH"):
-    """Read a basis file (and optional spectrum file) back.
+def load_basis(basis_path):
+    """Read the functions of a basis file back, as an "MH" basis.
 
-    The given ``kind`` label is trusted.
+    Its spectrum is NaN: every command that reads a basis uses only the
+    functions, and the eigenvalues stay in the spectrum file.
     """
     functions = _load_matrix(basis_path, "basis", "n m")
-    m = functions.shape[1]
-    if spectrum_path is not None:
-        spectrum = np.loadtxt(spectrum_path, dtype=np.float64, ndmin=1)
-        if spectrum.shape != (m,):
-            raise ValueError(f"{spectrum_path}: expected {m} eigenvalues")
-    else:
-        spectrum = np.full(m, np.nan)
     return SpectralBasis(
         functions=functions,
-        spectrum=spectrum,
-        kind=kind,
+        spectrum=np.full(functions.shape[1], np.nan),
+        kind="MH",
         params={"source": str(basis_path)},
     )
 

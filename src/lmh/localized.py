@@ -179,7 +179,7 @@ def compute_mh(mesh, k, seed=0, W=None, A=None):
 
 
 @_serial_blas()
-def build_lmh_operator(W, A, region, phi, mu_r, mu_perp, sigma=None):
+def build_lmh_operator(W, A, region, phi, mu_r, mu_perp):
     """Assemble the localized operator in low-rank shifted form.
 
     Runs with BLAS at one thread, like the solve that follows.
@@ -193,18 +193,16 @@ def build_lmh_operator(W, A, region, phi, mu_r, mu_perp, sigma=None):
         A-orthonormal harmonics spanning the subspace to avoid.
     mu_r, mu_perp : float
         Non-negative penalty weights.
-    sigma : float, optional
-        Shift of the system's solves; defaults to ``default_shift(W, A)``,
-        a small negative value. At sigma = 0 the sparse part is exactly
-        ``W + mu_r A diag(v)``.
 
     Returns
     -------
     (LowRankShiftedSystem, callable)
-        The system of the pencil (Q, A) at the shift sigma and its
-        ``q_apply``, which applies the unshifted Q. No factorization
-        happens here: the system computes its sparse LU at its first
-        solve.
+        The system of the pencil (Q, A) at the shift
+        ``default_shift(W, A)``, a small negative value, and its
+        ``q_apply``, which applies the unshifted Q. The unshifted sparse
+        part ``W + mu_r A diag(v)`` is the system's ``sparse_part(0.0)``.
+        No factorization happens here: the system computes its sparse LU
+        at its first solve.
 
     Raises
     ------
@@ -231,13 +229,12 @@ def build_lmh_operator(W, A, region, phi, mu_r, mu_perp, sigma=None):
         if not np.abs(gram - np.eye(phi.shape[1])).max() <= 1e-6:
             raise ValueError("phi must be finite and A-orthonormal (within 1e-6)")
 
-    if sigma is None:
-        sigma = default_shift(W, a)
     # an infinite mu_r gives inf * 0 = NaN, which the system names
     with np.errstate(invalid="ignore"):
         penalty = mu_r * a * v
     system = LowRankShiftedSystem(
-        W, a[:, None] * phi, mu_perp, A, penalty=penalty, sigma=sigma
+        W, a[:, None] * phi, mu_perp, A, penalty=penalty,
+        sigma=default_shift(W, a),
     )
     return system, system.q_apply
 

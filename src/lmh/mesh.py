@@ -14,7 +14,7 @@ class MeshError(ValueError):
 
 
 class TriMesh:
-    """Immutable triangle mesh with edge classification.
+    """Immutable, validated, edge-manifold triangle mesh.
 
     Parameters
     ----------
@@ -27,10 +27,6 @@ class TriMesh:
     ----------
     vertices : ndarray of shape (n, 3)
     faces : ndarray of shape (m, 3)
-    interior_edges : ndarray of shape (ki, 2)
-        Sorted vertex pairs shared by exactly two faces.
-    boundary_edges : ndarray of shape (kb, 2)
-        Sorted vertex pairs belonging to exactly one face.
 
     Raises
     ------
@@ -92,11 +88,9 @@ class TriMesh:
                 f"edge ({bad[0]}, {bad[1]}) is shared by {counts.max()} faces; "
                 "only edge-manifold meshes are supported"
             )
-        self.interior_edges = uniq[counts == 2]
-        self.boundary_edges = uniq[counts == 1]
+        # sorted unique pairs, read by edge_graph
         self._edges = uniq
-        for arr in (self.interior_edges, self.boundary_edges, self._edges):
-            arr.setflags(write=False)
+        self._edges.setflags(write=False)
 
     @property
     def n_vertices(self):
@@ -105,11 +99,6 @@ class TriMesh:
     @property
     def n_faces(self):
         return self.faces.shape[0]
-
-    @property
-    def edges(self):
-        """All unique undirected edges as sorted (k, 2) vertex pairs."""
-        return self._edges
 
     @functools.cached_property
     def edge_graph(self):
@@ -139,12 +128,13 @@ def load_mesh(content, fmt):
 
     Parameters
     ----------
-    content : str or bytes
+    content : str
         Raw file content.
     fmt : {"off", "obj"}
-        Input format. OFF files carry explicit vertex/face counts; OBJ
-        files are parsed from ``v``/``f`` records with all other record
-        types skipped (normals, texture coordinates, materials).
+        Input format, in any case. OFF files carry explicit vertex/face
+        counts; OBJ files are parsed from ``v``/``f`` records with all
+        other record types skipped (normals, texture coordinates,
+        materials).
 
     Returns
     -------
@@ -155,9 +145,7 @@ def load_mesh(content, fmt):
     MeshError
         On malformed content or validation failure.
     """
-    if isinstance(content, bytes):
-        content = content.decode("utf-8", errors="replace")
-    fmt = fmt.lower().lstrip(".")
+    fmt = fmt.lower()
     if fmt == "off":
         return _parse_off(content)
     if fmt == "obj":

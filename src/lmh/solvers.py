@@ -9,8 +9,11 @@ Gram-Schmidt with ``dgemv``, thick-restarted, with the restart and the
 Ritz vectors each formed by one matrix product. One object,
 ``LowRankShiftedSystem``, owns the pencil
 ``Q = W + diag(penalty) + mu_perp B B^T`` (mu_perp = 0 for the global
-harmonics), its positive mass A and its shift sigma, and every
-eigensolver takes it alone. It solves with
+harmonics), its positive mass A and its shift sigma;
+``smallest_eigenpairs`` takes it alone. The dense routes take matrices
+that their callers derive from it: ``hard_constraint_eig(Z, A, Phi, k)``
+the unshifted sparse part ``sparse_part(0.0)``, and
+``dense_oracle_eig(Q, A)`` Q densified through ``q_apply``. It solves with
 ``Q - sigma A = Z + mu_perp B B^T``: at its first solve it computes the
 checked sparse LU of Z (``factorize``) and the dense n-by-k' Woodbury
 correction, so building a system costs no factorization.
@@ -691,7 +694,7 @@ def _combine_rows(V, S, ritz=False):
         V[:p, c : c + width] = (block.T @ S).T if ritz else S.T @ block
 
 
-def eigsh(op, v0, k, ncv, tol, rng, maxiter=None):
+def eigsh(op, v0, k, ncv, tol, rng):
     """k largest-magnitude eigenpairs of a symmetric operator.
 
     Single-vector Lanczos with full reorthogonalization and thick
@@ -717,11 +720,6 @@ def eigsh(op, v0, k, ncv, tol, rng, maxiter=None):
     rng : numpy.random.Generator
         Draws the vector the iteration goes on from when it finds an
         invariant subspace.
-    maxiter : int, optional
-        Lanczos passes allowed, each but the first after a restart
-        (default 10 n, ARPACK's default in scipy). The iteration stops
-        earlier, after ``_STALLED_RESTARTS`` restarts in a row that add
-        no converged pair.
 
     Returns
     -------
@@ -735,8 +733,10 @@ def eigsh(op, v0, k, ncv, tol, rng, maxiter=None):
     Raises
     ------
     NumericalError
-        If fewer than k Ritz pairs converge in ``maxiter`` passes, or
-        the converged count stops growing.
+        If fewer than k Ritz pairs converge in 10 n Lanczos passes (each
+        but the first after a restart; ARPACK's default cap in scipy),
+        or after ``_STALLED_RESTARTS`` restarts in a row that add no
+        converged pair.
 
     Notes
     -----
@@ -769,15 +769,13 @@ def eigsh(op, v0, k, ncv, tol, rng, maxiter=None):
         raise ValueError(
             f"need 1 <= k <= ncv - 2 and ncv <= n, got k={k}, ncv={ncv}, n={n}"
         )
-    if maxiter is None:
-        maxiter = 10 * n
     V = np.empty((ncv + 1, n))
     V[0] = op(v0)
     V[0] /= np.linalg.norm(V[0])
     T = np.zeros((ncv, ncv))
     start = nconv = passes = stalled = 0
     most = -1
-    for passes in range(1, maxiter + 1):
+    for passes in range(1, 10 * n + 1):
         beta = _lanczos_steps(op, V, T, start, rng)
         theta, S = _ritz_pairs(T)
         bounds = np.abs(beta * S[-1, :k])

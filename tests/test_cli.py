@@ -101,16 +101,16 @@ class TestMh:
         ])
         assert code == 0
         assert summary["k"] == 6 and summary["n_vertices"] == 121
-        basis = lmhio.load_basis(summary["basis_file"],
-                                 summary["spectrum_file"])
+        basis = lmhio.load_basis(summary["basis_file"])
         assert basis.functions.shape == (121, 6)
         mesh = read_mesh(mesh_file)
         a = mass_diagonal(assemble_mass(mesh))
         gram = basis.functions.T @ (a[:, None] * basis.functions)
         assert np.abs(gram - np.eye(6)).max() <= 1e-8
-        assert np.all(np.diff(basis.spectrum) >= -1e-12)
-        assert summary["lambda_first"] == basis.spectrum[0]
-        assert summary["lambda_last"] == basis.spectrum[-1]
+        spectrum = np.loadtxt(summary["spectrum_file"])
+        assert np.all(np.diff(spectrum) >= -1e-12)
+        assert summary["lambda_first"] == spectrum[0]
+        assert summary["lambda_last"] == spectrum[-1]
 
     def test_reruns_are_byte_identical(self, capsys, mesh_file, tmp_path):
         args = ["mh", "--mesh", str(mesh_file), "--k", "5", "--seed", "4"]
@@ -224,6 +224,28 @@ class TestLmh:
         ])
         capsys.readouterr()
         assert code == 1  # more than the file provides
+
+    def test_default_mu_perp_with_and_without_phi(self, capsys, tmp_path):
+        # on a square 0.1 wide, 10 lam_21 is above 1e5: lmh takes it when
+        # it computes the global harmonics, and 1e5 with --phi, whose
+        # file holds no lam_{k'+1}
+        mesh = tmp_path / "small.off"
+        write_off(grid_mesh(10, 10, width=0.1, height=0.1), mesh)
+        region_file = make_region(capsys, mesh, tmp_path,
+                                  box=("0.025", "0.075", "0.025", "0.075"))
+        code, mh_summary = run_json(capsys, [
+            "mh", "--mesh", str(mesh), "--k", "20", "--out-dir", str(tmp_path),
+        ])
+        assert code == 0
+        argv = ["lmh", "--mesh", str(mesh), "--region", region_file, "--k", "5",
+                "--out-dir", str(tmp_path)]
+        code, computed = run_json(capsys, [*argv, "--kprime", "20"])
+        assert code == 0
+        code, given = run_json(capsys, [*argv, "--phi", mh_summary["basis_file"]])
+        assert code == 0
+        assert computed["kprime"] == given["kprime"] == 20
+        assert computed["mu_perp"] == pytest.approx(169375.7, abs=0.05)
+        assert given["mu_perp"] == 1e5
 
     def test_phi_file_with_a_nan_is_rejected(self, capsys, mesh_file, tmp_path):
         code, mh_summary = run_json(capsys, [

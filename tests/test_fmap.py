@@ -119,13 +119,16 @@ class TestRecoverP2p:
         r2 = recover_p2p(fmap)
         np.testing.assert_array_equal(r1, r2)
 
-    def test_small_chunks_match_single_pass(self, unit_square):
+    def test_small_blocks_match_single_pass(self, unit_square, monkeypatch):
         A = assemble_mass(unit_square)
         basis = compute_mh(unit_square, 6, A=A)
-        fmap = build_fmap(basis, basis, np.arange(unit_square.n_vertices), A)
-        np.testing.assert_array_equal(
-            recover_p2p(fmap, chunk=17), recover_p2p(fmap, chunk=10**6)
-        )
+        n = unit_square.n_vertices
+        fmap = build_fmap(basis, basis, np.arange(n), A)
+        monkeypatch.setattr(lmhfmap, "_BLOCK_ENTRIES", n * n)
+        single = recover_p2p(fmap)
+        for rows in (1, 4, 17, 512):
+            monkeypatch.setattr(lmhfmap, "_BLOCK_ENTRIES", rows * n)
+            np.testing.assert_array_equal(recover_p2p(fmap), single)
 
     def test_dimension_mismatch(self, unit_square):
         basis = compute_mh(unit_square, 6)
@@ -133,7 +136,7 @@ class TestRecoverP2p:
             recover_p2p(np.eye(5), basis_x=basis, basis_y=basis)
 
     def test_distance_blocks_are_bounded_by_bytes(self, rng):
-        # 512 rows of 8000 distances would be 31 MiB; a block holds 2 MiB
+        # a block holds 2 MiB: 32 rows of 8000 distances
         n, m = 8000, 20
         basis_x = embedding(rng.normal(size=(n, m)))
         basis_y = embedding(rng.normal(size=(n, m)))
@@ -148,16 +151,17 @@ def embedding(rows):
     return SpectralBasis(rows, np.zeros(rows.shape[1]), "MH")
 
 
-def nearest(queries, points, chunk=512):
+def nearest(queries, points):
     points = np.asarray(points, dtype=np.float64)
     return recover_p2p(np.eye(points.shape[1]), basis_x=embedding(points),
-                       basis_y=embedding(queries), chunk=chunk)
+                       basis_y=embedding(queries))
 
 
 class TestNearestIndex:
     """recover_p2p's matcher against the exact oracle and cdist's argmin."""
 
-    def test_duplicates_ulp_neighbours_and_equidistant_points(self, rng):
+    def test_duplicates_ulp_neighbours_and_equidistant_points(self, rng,
+                                                              monkeypatch):
         base = 5.0 + rng.normal(size=(6, 4))  # far from the unit axis points
         points = np.vstack([
             base,
@@ -183,8 +187,10 @@ class TestNearestIndex:
         # cdist's rounding, not exact arithmetic, decides it
         queries = np.vstack([queries, 5.0 + rng.normal(size=(5, 4))])
         expect = cdist(queries, points).argmin(axis=1)
-        for chunk in (1, 4, 512):
-            np.testing.assert_array_equal(nearest(queries, points, chunk), expect)
+        # blocks of 1, 4, 17 and 512 rows, and one block of every row
+        for rows in (1, 4, 17, 512, len(queries)):
+            monkeypatch.setattr(lmhfmap, "_BLOCK_ENTRIES", rows * len(points))
+            np.testing.assert_array_equal(nearest(queries, points), expect)
 
     @pytest.mark.parametrize("offset", [0.0, 1e3])
     def test_lattice_near_ties_match_cdist(self, rng, offset):

@@ -27,6 +27,7 @@ from lmh.localized import (
 )
 from lmh.mesh import MeshError, TriMesh
 from lmh.solvers import (
+    LowRankShiftedSystem,
     NumericalError,
     default_shift,
     hard_constraint_eig,
@@ -112,15 +113,15 @@ class TestBuildOperator:
         W = assemble_stiffness(unit_square)
         A = assemble_mass(unit_square)
         u = rng.uniform(0.0, 1.0, unit_square.n_vertices)
-        # sigma = 0 leaves the sparse part singular (Z = W): building
-        # succeeds, since the LU is computed at the first solve, and that
-        # solve asks for a negative shift
-        system, _ = build_lmh_operator(W, A, Region(u), None, 0.0, 0.0,
-                                       sigma=0.0)
-        np.testing.assert_array_equal(system.Z.toarray(), W.toarray())
+        system, q_apply = build_lmh_operator(W, A, Region(u), None, 0.0, 0.0)
+        np.testing.assert_array_equal(system.sparse_part(0.0).toarray(),
+                                      W.toarray())
+        # at sigma = 0 that sparse part is singular (Z = W): building the
+        # system succeeds, since the LU is computed at the first solve,
+        # and that solve asks for a negative shift
+        unshifted = LowRankShiftedSystem(W, None, 0.0, A, sigma=0.0)
         with pytest.raises(NumericalError, match="negative shift"):
-            system.solve_shifted(np.ones(unit_square.n_vertices))
-        _, q_apply = build_lmh_operator(W, A, Region(u), None, 0.0, 0.0)
+            unshifted.solve_shifted(np.ones(unit_square.n_vertices))
         x = rng.standard_normal(unit_square.n_vertices)
         np.testing.assert_allclose(q_apply(x), W @ x, atol=1e-14)
 
@@ -209,7 +210,7 @@ class TestOneSystem:
         mesh, W, A, region, phi = setup
         basis = compute_lmh(mesh, region, 6, 5, mu_r=100.0, mu_perp=1e5,
                             phi=phi, solver="hard", W=W, A=A)
-        Z = build_lmh_operator(W, A, region, phi, 100.0, 1e5, sigma=0.0)[0].Z
+        Z = build_lmh_operator(W, A, region, phi, 100.0, 1e5)[0].sparse_part(0.0)
         lam, Psi = hard_constraint_eig(Z, A, phi, 6)
         np.testing.assert_array_equal(basis.spectrum, lam)
         np.testing.assert_array_equal(basis.functions, Psi)
@@ -217,7 +218,8 @@ class TestOneSystem:
     def test_sparse_part_at_zero_is_the_unshifted_z(self, setup):
         _, W, A, region, phi = setup
         shifted, _ = build_lmh_operator(W, A, region, phi, 100.0, 1e5)
-        unshifted, _ = build_lmh_operator(W, A, region, phi, 100.0, 1e5, sigma=0.0)
+        unshifted = LowRankShiftedSystem(W, shifted.B, 1e5, A,
+                                         penalty=shifted.penalty, sigma=0.0)
         assert shifted.sigma < 0.0 == unshifted.sigma
         Z0, Z = shifted.sparse_part(0.0), unshifted.Z
         for part in ("data", "indices", "indptr"):
@@ -769,7 +771,7 @@ class TestDisconnectedMesh:
     def test_two_zero_eigenvalues_with_a_larger_shift(self, two_grids):
         mesh, expect = two_grids
         W, A = assemble_stiffness(mesh), assemble_mass(mesh)
-        system, _ = build_lmh_operator(W, A, None, None, 0.0, 0.0, sigma=-1e-2)
+        system = LowRankShiftedSystem(W, None, 0.0, A, sigma=-1e-2)
         lam = smallest_eigenpairs(system, 3)[0]
         np.testing.assert_allclose(lam, expect, rtol=1e-8, atol=1e-10)
         assert abs(lam[1]) <= 1e-10 and lam[2] > 9.0

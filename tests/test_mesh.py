@@ -22,6 +22,7 @@ from lmh.synth import grid_mesh, icosphere, single_triangle, tetrahedron
 
 from oracles import all_pairs_shortest, bellman_ford, mesh_edges_with_lengths
 
+# the count line's third number, the edge count, is not read
 OFF_TETRA = """OFF
 4 4 6
 0 0 0
@@ -32,14 +33,6 @@ OFF_TETRA = """OFF
 3 0 1 3
 3 0 3 2
 3 1 2 3
-"""
-
-OFF_TRIANGLE = """OFF
-3 1 0
-0 0 0
-1 0 0
-0 1 0
-3 0 1 2
 """
 
 # two triangles glued to the same edge twice over -> edge (0,1) in 3 faces
@@ -75,17 +68,11 @@ OFF_ERRORS = [
 ]
 
 class TestLoadMesh:
-    def test_off_tetrahedron_edge_classification(self):
+    def test_off_tetrahedron_with_an_edge_count(self):
         mesh = load_mesh(OFF_TETRA, "OFF")
         assert mesh.n_vertices == 4
         assert mesh.n_faces == 4
-        assert len(mesh.interior_edges) == 6
-        assert len(mesh.boundary_edges) == 0
-
-    def test_off_single_triangle_all_boundary(self):
-        mesh = load_mesh(OFF_TRIANGLE, "OFF")
-        assert len(mesh.interior_edges) == 0
-        assert len(mesh.boundary_edges) == 3
+        np.testing.assert_array_equal(mesh.faces[-1], [1, 2, 3])
 
     def test_nonmanifold_edge_rejected(self):
         with pytest.raises(MeshError, match="manifold"):
@@ -126,21 +113,17 @@ class TestLoadMesh:
             load_mesh(bad, "OFF")
 
     def test_edges_match_row_unique(self, corpus):
-        # the 1-D key path against np.unique over (i, j) rows
+        # the 1-D key path, through the edge graph's upper triangle,
+        # against np.unique over (i, j) rows
         for name, mesh in corpus:
             f = mesh.faces
             pairs = np.sort(np.vstack([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]]), axis=1)
-            uniq, counts = np.unique(pairs, axis=0, return_counts=True)
-            np.testing.assert_array_equal(mesh.edges, uniq, err_msg=name)
-            np.testing.assert_array_equal(mesh.interior_edges, uniq[counts == 2],
-                                          err_msg=name)
-            np.testing.assert_array_equal(mesh.boundary_edges, uniq[counts == 1],
-                                          err_msg=name)
-            assert mesh.edges.dtype == uniq.dtype, name
-
-    def test_edge_partition_covers_all_edges(self, plane):
-        n_distinct = len(plane.edges)
-        assert len(plane.interior_edges) + len(plane.boundary_edges) == n_distinct
+            uniq = np.unique(pairs, axis=0)
+            g = mesh.edge_graph
+            rows = np.repeat(np.arange(mesh.n_vertices), np.diff(g.indptr))
+            upper = np.column_stack([rows, g.indices])[rows < g.indices]
+            order = np.lexsort((upper[:, 1], upper[:, 0]))
+            np.testing.assert_array_equal(upper[order], uniq, err_msg=name)
 
     @pytest.mark.parametrize("mesh", [grid_mesh(12, 7), tetrahedron()],
                              ids=["grid", "tetrahedron"])

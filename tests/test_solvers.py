@@ -56,7 +56,7 @@ from test_bench_patches import load_spans
 
 def penalized(W, A, region, mu_r=100.0):
     """``W + mu_r A diag(v)``, the sparse part of an unshifted system."""
-    return build_lmh_operator(W, A, region, None, mu_r, 0.0, sigma=0.0)[0].Z
+    return build_lmh_operator(W, A, region, None, mu_r, 0.0)[0].sparse_part(0.0)
 
 
 def random_spd_sparse(n, rng, density=0.05):
@@ -450,7 +450,7 @@ class TestSmallestEigenpairs:
         W = assemble_stiffness(unit_square)
         A = assemble_mass(unit_square)
         lam1 = compute_mh(unit_square, 5, W=W, A=A).spectrum
-        system, _ = build_lmh_operator(W, A, None, None, 0.0, 0.0, sigma=-2e-7)
+        system = LowRankShiftedSystem(W, None, 0.0, A, sigma=-2e-7)
         lam2 = smallest_eigenpairs(system, 5)[0]
         # relative agreement for the nonzero modes, absolute near zero
         ref = np.maximum(np.abs(lam1), 1e-6)
@@ -594,7 +594,9 @@ def check_dense(M, theta, X, k):
 def whitened_shift_invert(mesh, sigma=None):
     """``y -> (H - sigma I)^-1 y`` for H = A^-1/2 W A^-1/2, as compute_mh solves it."""
     W, A = assemble_stiffness(mesh), assemble_mass(mesh)
-    system, _ = build_lmh_operator(W, A, None, None, 0.0, 0.0, sigma=sigma)
+    if sigma is None:
+        sigma = default_shift(W, A)
+    system = LowRankShiftedSystem(W, None, 0.0, A, sigma=sigma)
     s = np.sqrt(system.mass)
     return (lambda y: s * system.solve_shifted(s * y)), system
 
@@ -1181,10 +1183,12 @@ class TestBlasThreadScope:
                                                monkeypatch):
         real_eigsh = solvers.eigsh
 
-        def one_pass_at_zero_tolerance(*args, **kwargs):
-            return real_eigsh(*args, **{**kwargs, "tol": 0.0, "maxiter": 1})
+        def zero_tolerance(*args, **kwargs):
+            return real_eigsh(*args, **{**kwargs, "tol": 0.0})
 
-        monkeypatch.setattr(solvers, "eigsh", one_pass_at_zero_tolerance)
+        monkeypatch.setattr(solvers, "eigsh", zero_tolerance)
+        # nothing converges at zero tolerance: the second pass stalls
+        monkeypatch.setattr(solvers, "_STALLED_RESTARTS", 1)
         before = pool_counts(blas_pools)
         with pytest.raises(NumericalError, match="did not converge"):
             compute_mh(sphere, 5)
@@ -1246,7 +1250,7 @@ class TestBlasThreadScope:
         lmhio.save_region(Region.binary(unit_square.n_vertices, np.arange(40)),
                           region)
         basis, cmatrix = tmp_path / "basis.txt", tmp_path / "c.txt"
-        lmhio.save_basis(tied_basis(), basis)
+        lmhio.save_basis(tied_basis(), basis, tmp_path / "spectrum.txt")
         lmhio.save_cmatrix(np.eye(4), cmatrix)
         out = ["--out-dir", str(tmp_path)]
         lmh = ["lmh", "--mesh", str(mesh), "--region", str(region), "--k", "3",
