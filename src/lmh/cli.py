@@ -11,11 +11,11 @@ Every command runs with BLAS at one thread (``solvers._serial_blas``):
 its BLAS calls are too small to gain from threads, and an idle OpenBLAS
 worker spins for about 0.1 s after each threaded call, burning CPU while
 the serial work goes on. So output files and JSON summaries do not
-depend on the BLAS thread count. The exceptions, whose work grows
-faster than the mesh, keep the process thread count: the dense
+depend on the BLAS thread count. The two exceptions, whose work grows
+as the cube of the mesh size, keep the process thread count: the dense
 ``--solver hard`` and ``--solver oracle`` paths, also as ``bench`` runs
-them (their outputs match only at the same thread count), and the
-distance GEMM of ``p2p``, whose indices are exact at any thread count.
+them (their outputs match only at the same thread count). ``p2p`` runs
+serial too, and its indices are exact at any thread count.
 
 Warnings raised by a command print as ``warning: <message>`` on stderr,
 without a source location.
@@ -53,7 +53,7 @@ from .localized import (
     weyl_slope,
 )
 from .fmap import build_fmap, geodesic_error_stats, offblock_energy, recover_p2p
-from .mesh import MeshError, read_mesh, surface_area, write_off
+from .mesh import MeshError, membership, read_mesh, surface_area, write_off
 from .solvers import NumericalError, _serial_blas
 from .spectral import reconstruct_surface, reconstruction_error
 from .synth import patch_vertices
@@ -104,11 +104,9 @@ def _emit(args, summary):
 
 
 def _read_region(path, n):
+    """The region file's Region, checked against n vertices before any solve."""
     region = lmhio.load_region(path)
-    if len(region) != n:
-        raise CliError(
-            f"region file holds {len(region)} values for a mesh with {n} vertices"
-        )
+    membership(region, n)
     return region
 
 

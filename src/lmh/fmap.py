@@ -10,6 +10,8 @@ nearest-neighbour search and the geodesic error work in blocks of at
 most ``_BLOCK_ENTRIES`` float64 entries (2 MiB), and the rows that
 rounding cannot separate are decided by ``_euclidean``, the sequential
 distance that equals ``scipy.spatial.distance.cdist`` bit for bit.
+``recover_p2p`` runs BLAS at one thread, as all of lmh does but its
+dense eigensolvers: at 2562 vertices a side, more threads gain nothing.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 from .fem import mass_diagonal
 from .localized import SpectralBasis
 from .mesh import graph_geodesics, surface_area
-from .solvers import _process_blas
+from .solvers import _serial_blas
 
 # float64 entries per block of distances, 2 MiB
 _BLOCK_ENTRIES = 2**18
@@ -93,6 +95,7 @@ def build_fmap(basis_x, basis_y, p2p, A_y):
     return FunctionalMap(C=C, basis_x=basis_x, basis_y=basis_y)
 
 
+@_serial_blas()
 def recover_p2p(fmap, basis_x=None, basis_y=None):
     """Point-to-point map from a functional map by exact nearest neighbor.
 
@@ -146,25 +149,22 @@ def recover_p2p(fmap, basis_x=None, basis_y=None):
     r_sq = x_sq.max(initial=0.0)
     out = np.empty(queries.shape[0], dtype=np.int64)
     rows = max(1, _BLOCK_ENTRIES // max(1, len(emb_x)))
-    # the GEMM's work grows as n_Y n_X, so it keeps the process BLAS
-    # threads; the band makes the indices exact in any summation order
-    with _process_blas():
-        for lo in range(0, queries.shape[0], rows):
-            q = queries[lo : lo + rows]
-            q_sq = np.einsum("ij,ij->i", q, q)
-            d2 = q @ emb_x.T
-            d2 *= -2.0
-            d2 += x_sq[None, :]
-            d2 += q_sq[:, None]
-            best = d2.argmin(axis=1)
-            slack = 8.0 * g * (q_sq + r_sq)
-            band = d2 <= (d2[np.arange(len(q)), best] + slack)[:, None]
-            for row in np.flatnonzero(band.sum(axis=1) != 1):
-                # a NaN row has an empty band; it is decided on all columns
-                cols = np.flatnonzero(band[row]) if band[row].any() else np.arange(len(emb_x))
-                d = _euclidean(q[row], emb_x[cols])
-                best[row] = cols[np.argmin(d)]  # the lowest index on ties
-            out[lo : lo + len(q)] = best
+    for lo in range(0, queries.shape[0], rows):
+        q = queries[lo : lo + rows]
+        q_sq = np.einsum("ij,ij->i", q, q)
+        d2 = q @ emb_x.T
+        d2 *= -2.0
+        d2 += x_sq[None, :]
+        d2 += q_sq[:, None]
+        best = d2.argmin(axis=1)
+        slack = 8.0 * g * (q_sq + r_sq)
+        band = d2 <= (d2[np.arange(len(q)), best] + slack)[:, None]
+        for row in np.flatnonzero(band.sum(axis=1) != 1):
+            # a NaN row has an empty band; it is decided on all columns
+            cols = np.flatnonzero(band[row]) if band[row].any() else np.arange(len(emb_x))
+            d = _euclidean(q[row], emb_x[cols])
+            best[row] = cols[np.argmin(d)]  # the lowest index on ties
+        out[lo : lo + len(q)] = best
     return out
 
 

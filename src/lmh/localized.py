@@ -28,7 +28,8 @@ import numpy as np
 from scipy import sparse
 
 from .fem import assemble_mass, assemble_stiffness, mass_diagonal, penalty_weights
-from .mesh import MeshError, TriMesh, graph_geodesics, intrinsic_diameter, membership
+from .mesh import (MeshError, TriMesh, _valid_membership, graph_geodesics,
+                   intrinsic_diameter, membership)
 from .solvers import (
     LowRankShiftedSystem,
     _serial_blas,
@@ -44,6 +45,11 @@ DEFAULT_MU_PERP = 1e5
 SOLVERS = ("relaxed", "hard", "oracle")
 
 
+def _is_binary(u):
+    """Whether every membership value is exactly 0 or 1."""
+    return bool(np.all((u == 0.0) | (u == 1.0)))
+
+
 class Region:
     """Per-vertex soft membership u in [0, 1].
 
@@ -52,19 +58,12 @@ class Region:
     """
 
     def __init__(self, u):
-        u = np.asarray(u, dtype=np.float64)
-        if u.ndim != 1:
-            raise ValueError("membership u must be a flat per-vertex array")
-        if not np.all(np.isfinite(u)):
-            raise ValueError("membership u contains non-finite values")
-        if u.min() < 0.0 or u.max() > 1.0:
-            raise ValueError("membership u must lie in [0, 1]")
-        self.u = u
+        self.u = _valid_membership(u)
         self.u.setflags(write=False)
 
     @property
     def is_binary(self):
-        return bool(np.all((self.u == 0.0) | (self.u == 1.0)))
+        return _is_binary(self.u)
 
     @classmethod
     def binary(cls, n, inside):
@@ -207,10 +206,10 @@ def build_lmh_operator(W, A, region, phi, mu_r, mu_perp):
     Raises
     ------
     ValueError
-        If a weight is negative, the region length or the phi row count
-        does not match the vertex count, phi is not finite and
-        A-orthonormal within 1e-6, or the system finds W, the penalty or
-        mu_perp not finite.
+        If a weight is negative, the membership fails ``membership``, the
+        phi row count does not match the vertex count, phi is not finite
+        and A-orthonormal within 1e-6, or the system finds W, the penalty
+        or mu_perp not finite.
     """
     if mu_r < 0.0 or mu_perp < 0.0:
         raise ValueError("penalty weights must be non-negative")
@@ -239,9 +238,25 @@ def build_lmh_operator(W, A, region, phi, mu_r, mu_perp):
     return system, system.q_apply
 
 
-def default_mu_perp(lam_next):
-    """Orthogonality weight comfortably above the (k'+1)-th eigenvalue."""
-    return max(DEFAULT_MU_PERP, 10.0 * float(lam_next))
+def _global_prelude(mesh, kprime, mu_perp, seed, W, A):
+    """The first k' global harmonics, the first k' + 1 eigenvalues and mu_perp.
+
+    ``mu_perp`` defaults to ``max(1e5, 10 lam_{k'+1})``, comfortably
+    above the (k'+1)-th eigenvalue. An explicit value at or below
+    ``lam_{k'+1}`` warns, pointing at the line that called
+    ``compute_lmh`` or ``verify_spectral_gap``.
+    """
+    mh = compute_mh(mesh, kprime + 1, seed=seed, W=W, A=A)
+    lam_next = float(mh.spectrum[kprime])
+    if mu_perp is None:
+        mu_perp = max(DEFAULT_MU_PERP, 10.0 * lam_next)
+    elif mu_perp <= lam_next:
+        warnings.warn(
+            f"mu_perp={mu_perp:g} does not exceed lambda_(k'+1)={lam_next:g}; "
+            "the gap bound assumes it does",
+            stacklevel=3,
+        )
+    return mh.functions[:, :kprime], mh.spectrum, mu_perp
 
 
 def compute_lmh(
@@ -273,8 +288,8 @@ def compute_lmh(
     mu_perp : float, optional
         Orthogonality weight. Default: ``max(1e5, 10 * lam_{k'+1}(W))``
         when the global harmonics are computed here, else 1e5 (also for
-        k' = 0, which computes none). A warning is issued when an
-        explicit value sits below ``lam_{k'+1}(W)``.
+        k' = 0, which computes none). When they are, an explicit value
+        at or below ``lam_{k'+1}(W)`` warns.
     phi : ndarray, optional
         Precomputed A-orthonormal global harmonics (n, kprime).
     solver : {"relaxed", "hard", "oracle"}
@@ -311,26 +326,14 @@ def compute_lmh(
             stacklevel=2,
         )
 
-    lam_next = None
-    if phi is None and kprime == 0:
-        # an empty phi never uses the mu_perp a global solve would set
-        phi = np.zeros((n, 0))
-    elif phi is None:
-        mh = compute_mh(mesh, kprime + 1, seed=seed, W=W, A=A)
-        phi = mh.functions[:, :kprime]
-        lam_next = float(mh.spectrum[kprime])
-    else:
-        phi = np.asarray(phi, dtype=np.float64)
-        if phi.shape != (n, kprime):
-            raise ValueError("phi must have shape (n, kprime)")
+    if phi is None and kprime:
+        phi, _, mu_perp = _global_prelude(mesh, kprime, mu_perp, seed, W, A)
+    # an empty phi never uses the mu_perp a global solve would set
+    phi = np.asarray(np.zeros((n, 0)) if phi is None else phi, dtype=np.float64)
+    if phi.shape != (n, kprime):
+        raise ValueError("phi must have shape (n, kprime)")
     if mu_perp is None:
-        mu_perp = default_mu_perp(lam_next) if lam_next is not None else DEFAULT_MU_PERP
-    elif lam_next is not None and mu_perp <= lam_next:
-        warnings.warn(
-            f"mu_perp={mu_perp:g} is not above lambda_(k'+1)={lam_next:g}; "
-            "the spectral gap above the global band is not guaranteed",
-            stacklevel=2,
-        )
+        mu_perp = DEFAULT_MU_PERP
 
     # hard takes the unshifted penalized matrix; no path but relaxed
     # solves with the system, so no other path factorizes
@@ -395,7 +398,7 @@ def extract_submesh(mesh, region):
         If the region is not binary.
     """
     u = membership(region, mesh.n_vertices)
-    if not np.all((u == 0.0) | (u == 1.0)):
+    if not _is_binary(u):
         raise ValueError("submesh extraction requires a binary region")
     keep_face = (u[mesh.faces] == 1.0).all(axis=1)
     if not keep_face.any():
@@ -526,9 +529,7 @@ def verify_spectral_gap(
     kprime : int
         At least 1.
     mu_r, mu_perp : float
-        ``mu_perp`` defaults to ``max(1e5, 10 * lam_{k'+1}(W))``; a
-        warning is issued for explicit values at or below
-        ``lam_{k'+1}(W)``.
+        ``mu_perp`` defaults, and warns, as in ``compute_lmh``.
 
     Returns
     -------
@@ -537,22 +538,14 @@ def verify_spectral_gap(
     if kprime < 1:
         raise ValueError("kprime must be at least 1")
     W, A = _operators(mesh, W, A)
-    mh = compute_mh(mesh, kprime + 1, seed=seed, W=W, A=A)
-    lam_kp = float(mh.spectrum[kprime - 1])
-    lam_next = float(mh.spectrum[kprime])
-    if mu_perp is None:
-        mu_perp = default_mu_perp(lam_next)
-    elif mu_perp <= lam_next:
-        warnings.warn(
-            f"mu_perp={mu_perp:g} does not exceed lambda_(k'+1)={lam_next:g}; "
-            "the gap bound assumes it does",
-            stacklevel=2,
-        )
-    phi = mh.functions[:, :kprime]
+    phi, spectrum, mu_perp = _global_prelude(mesh, kprime, mu_perp, seed, W, A)
+    lam_kp, lam_next = float(spectrum[kprime - 1]), float(spectrum[kprime])
     system, _ = build_lmh_operator(W, A, region, phi, mu_r, mu_perp)
     lam1 = float(smallest_eigenpairs(system, 1, seed=seed)[0][0])
     gap = lam1 - lam_kp
-    threshold = -1e-6 * lam_kp - 1e-12 * max(1.0, lam_next)
+    # the floor 1/sum(a) has eigenvalue units, as in the residual check
+    floor = 1.0 / float(mass_diagonal(A).sum())
+    threshold = -1e-6 * lam_kp - 1e-12 * max(floor, lam_next)
     return GapReport(
         kprime=kprime,
         mu_r=mu_r,
@@ -598,7 +591,7 @@ def restrict_pencil(W, A, region):
         Restricted sparse operators and the kept vertex indices.
     """
     u = membership(region, W.shape[0])
-    if not np.all((u == 0.0) | (u == 1.0)):
+    if not _is_binary(u):
         raise ValueError("pencil restriction requires a binary region")
     idx = np.flatnonzero(u == 1.0)
     if idx.size == 0:
@@ -655,9 +648,10 @@ def verify_upper_bound(
     )
     sub_basis = compute_mh(None, sub_k, seed=seed, W=W_rr, A=A_rr)
     rhs = sub_basis.spectrum[kprime : kprime + k]
-    # relative slack, with an absolute floor so a zero eigenvalue at
-    # -1e-15 does not tighten its own bound
-    slack = tolerance * np.abs(rhs) + 1e-9 * max(1.0, float(np.abs(rhs).max()))
+    # relative slack plus a floor in eigenvalue units, 1/sum(a) as in the
+    # residual check, so a zero eigenvalue at -1e-15 keeps its own bound
+    floor = 1.0 / float(mass_diagonal(A).sum())
+    slack = tolerance * np.abs(rhs) + 1e-9 * max(floor, float(np.abs(rhs).max()))
     margins = rhs + slack - lmh.spectrum
     return BoundReport(
         kprime=kprime,

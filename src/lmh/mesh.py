@@ -331,10 +331,22 @@ def surface_area(mesh, region=None):
 
 def membership(region, n):
     """Membership values u of a Region (or a raw per-vertex array),
-    checked against the vertex count n."""
+    checked against the vertex count n and by ``_valid_membership``."""
     u = np.asarray(getattr(region, "u", region), dtype=np.float64)
     if u.shape != (n,):
         raise ValueError(f"region has {u.size} values for {n} vertices")
+    return _valid_membership(u)
+
+
+def _valid_membership(u):
+    """The one membership check: ``u`` as float64 if flat, finite and in [0, 1]."""
+    u = np.asarray(u, dtype=np.float64)
+    if u.ndim != 1:
+        raise ValueError("membership u must be a flat per-vertex array")
+    if not np.all(np.isfinite(u)):
+        raise ValueError("membership u contains non-finite values")
+    if u.min() < 0.0 or u.max() > 1.0:
+        raise ValueError("membership u must lie in [0, 1]")
     return u
 
 

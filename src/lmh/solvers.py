@@ -54,19 +54,19 @@ m-by-m array is resident. The buffer does not come from numpy because
 numpy advises transparent huge pages for large arrays, and 2 MiB pages
 would back the upper triangle too. Its cost is the O(n^3) ``eigh``.
 
-Thread policy, owned here: lmh runs BLAS at one thread. The exceptions
-are the kernels whose work grows faster than n: ``hard_constraint_eig``,
-``dense_oracle_eig`` and the distance GEMM of ``fmap.recover_p2p``. The
-rest (Lanczos steps, Gram-Schmidt, Gram checks, products with n-by-k
-blocks) is too small to gain from threads, and a threaded call costs
-more than its own time: after it, each idle OpenBLAS worker spins for
-about 0.1 s while the serial work that follows runs, so CPU time
-exceeds wall time. Serial BLAS also makes results independent of the
-thread count.
+Thread policy, owned here: lmh runs BLAS at one thread. The two
+exceptions are the dense eigensolvers, ``hard_constraint_eig`` and
+``dense_oracle_eig``, whose work grows as n^3. The rest (Lanczos steps,
+Gram-Schmidt, Gram checks, products with n-by-k blocks, the distance
+GEMM of ``fmap.recover_p2p``) is too small to gain from threads, and a
+threaded call costs more than its own time: after it, each idle
+OpenBLAS worker spins for about 0.1 s while the serial work that
+follows runs, so CPU time exceeds wall time. Serial BLAS also makes
+results independent of the thread count.
 ``_serial_blas`` sets the bundled OpenBLAS pools to one thread for its
-block (the command line runs every command in one); ``_process_blas``
-runs the exceptions at the counts the pools had outside every
-``_serial_blas`` scope.
+block (the command line runs every command in one); ``_process_blas``,
+which only the two exceptions use, runs them at the counts the pools
+had outside every ``_serial_blas`` scope.
 """
 
 from __future__ import annotations
@@ -195,15 +195,10 @@ def _serial_blas():
 
 @contextmanager
 def _process_blas():
-    """Run the block at the pool counts outside every ``_serial_blas`` scope.
-
-    Outside any ``_serial_blas`` scope it changes nothing.
-    """
-    if _process_counts is None:
+    """Run the block at the pool counts found outside every ``_serial_blas``
+    scope; outside all of them, at the current counts."""
+    with _pools_at(_process_counts or ()):
         yield
-    else:
-        with _pools_at(_process_counts):
-            yield
 
 
 def _positive_mass(A):

@@ -25,7 +25,7 @@ from lmh.localized import (
     verify_upper_bound,
     weyl_slope,
 )
-from lmh.mesh import MeshError, TriMesh
+from lmh.mesh import MeshError, TriMesh, surface_area
 from lmh.solvers import (
     LowRankShiftedSystem,
     NumericalError,
@@ -106,6 +106,23 @@ class TestRegion:
         r = Region([0.0, 1.0])
         with pytest.raises(ValueError):
             r.u[0] = 0.5
+
+    @pytest.mark.parametrize("bad", [2.0, -0.5, np.nan])
+    def test_raw_membership_is_checked_like_a_region(self, unit_square, bad):
+        # a raw u outside [0, 1] once became a penalty without a word, and
+        # a NaN in it was reported as a bad penalty
+        n = unit_square.n_vertices
+        u = Region.binary(n, np.arange(40)).u.copy()
+        u[3] = bad
+        A = assemble_mass(unit_square)
+        for call in (
+            lambda: compute_lmh(unit_square, u, 3, 2),
+            lambda: penalty_weights(u, n),
+            lambda: surface_area(unit_square, u),
+            lambda: region_energy_fraction(np.ones((n, 1)), A, u),
+        ):
+            with pytest.raises(ValueError, match="membership u"):
+                call()
 
 
 class TestBuildOperator:
@@ -547,6 +564,22 @@ class TestSoftRegion:
 
 
 class TestVerifySpectralGap:
+    def test_mu_perp_warning_matches_compute_lmh(self, unit_square):
+        region = Region.binary(unit_square.n_vertices, np.arange(40))
+        texts = []
+        for call in (
+            lambda: compute_lmh(unit_square, region, k=3, kprime=5, mu_perp=1.0),
+            lambda: verify_spectral_gap(unit_square, region, kprime=5, mu_perp=1.0),
+        ):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                call()
+            mine = [w for w in caught if str(w.message).startswith("mu_perp=")]
+            assert len(mine) == 1 and mine[0].filename == __file__
+            texts.append(str(mine[0].message))
+        assert texts[0] == texts[1]
+        assert texts[0].endswith("the gap bound assumes it does")
+
     def test_passes_on_plane_patch(self, plane, plane_patch, plane_ops):
         W, A = plane_ops
         report = verify_spectral_gap(plane, plane_patch, kprime=20, W=W, A=A)
@@ -876,6 +909,23 @@ class TestShiftInEigenvalueUnits:
              + basis.params["mu_perp"] * (B @ B.T))
         expect = dense_pencil_eig(Q, a)[0][:11]
         np.testing.assert_allclose(basis.spectrum, expect, rtol=1e-7)
+
+    def test_verification_floors_scale_like_the_eigenvalues(self, plane,
+                                                           plane_patch):
+        # the floors were 1e-9 max(1, max|rhs|) and 1e-12 max(1, lam_next):
+        # on the plane scaled by 1e3 the bound's was 310 times its
+        # relative slack, and the gap's 2.5 times its relative threshold
+        slack, threshold = {}, {}
+        for L in (1.0, 1e3):
+            mesh = scaled(plane, L)
+            bound = verify_upper_bound(mesh, plane_patch, 6, 11, tolerance=1e-6)
+            rhs = bound.submesh_spectrum[6:17]
+            slack[L] = (bound.margins - rhs + bound.lmh_spectrum) * L**2
+            gap = verify_spectral_gap(mesh, plane_patch, 5)
+            threshold[L] = gap.threshold * L**2
+            assert bound.passed and gap.passed
+        np.testing.assert_allclose(slack[1e3], slack[1.0], rtol=1e-6)
+        assert threshold[1e3] == pytest.approx(threshold[1.0], rel=1e-6)
 
     def test_icosphere_seed_142_matches_the_oracle(self):
         # its 4-fold cluster at 17.948 once missed the residual check
