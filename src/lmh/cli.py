@@ -11,11 +11,13 @@ Every command runs with BLAS at one thread (``solvers._serial_blas``):
 its BLAS calls are too small to gain from threads, and an idle OpenBLAS
 worker spins for about 0.1 s after each threaded call, burning CPU while
 the serial work goes on. So output files and JSON summaries do not
-depend on the BLAS thread count. The two exceptions, whose work grows
-as the cube of the mesh size, keep the process thread count: the dense
-``--solver hard`` and ``--solver oracle`` paths, also as ``bench`` runs
-them (their outputs match only at the same thread count). ``p2p`` runs
-serial too, and its indices are exact at any thread count.
+depend on the BLAS thread count: ``mh``, ``pmh`` and ``bound`` run
+shift-invert Lanczos for every k up to n, so at every k. The two
+exceptions, whose work grows as the cube of the mesh size, keep the
+process thread count: the dense ``--solver hard`` and ``--solver
+oracle`` paths, also as ``bench`` runs them (their outputs match only
+at the same thread count). ``p2p`` runs serial too, and its indices are
+exact at any thread count.
 
 Warnings raised by a command print as ``warning: <message>`` on stderr,
 without a source location.

@@ -32,6 +32,7 @@ from .mesh import (MeshError, TriMesh, _valid_membership, graph_geodesics,
                    intrinsic_diameter, membership)
 from .solvers import (
     LowRankShiftedSystem,
+    _eigenvalue_floor,
     _serial_blas,
     check_dense_size,
     default_shift,
@@ -58,7 +59,8 @@ class Region:
     """
 
     def __init__(self, u):
-        self.u = _valid_membership(u)
+        # a copy: freezing the caller's own array would make it read-only
+        self.u = _valid_membership(u).copy()
         self.u.setflags(write=False)
 
     @property
@@ -164,9 +166,6 @@ def compute_mh(mesh, k, seed=0, W=None, A=None):
     SpectralBasis
     """
     W, A = _operators(mesh, W, A)
-    n = W.shape[0]
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be in [1, {n}], got {k}")
     system, _ = build_lmh_operator(W, A, None, None, 0.0, 0.0)
     lam, Psi = smallest_eigenpairs(system, k, seed=seed)
     return SpectralBasis(
@@ -436,8 +435,6 @@ def compute_pmh(mesh, region, k, seed=0):
         raise MeshError(
             f"submesh has {sub.n_vertices} vertices; at least 4 are required"
         )
-    if not 1 <= k <= sub.n_vertices:
-        raise ValueError(f"k must be in [1, {sub.n_vertices}], got {k}")
     basis = compute_mh(sub, k, seed=seed)
     padded = np.zeros((mesh.n_vertices, k))
     padded[vidx] = basis.functions
@@ -543,9 +540,8 @@ def verify_spectral_gap(
     system, _ = build_lmh_operator(W, A, region, phi, mu_r, mu_perp)
     lam1 = float(smallest_eigenpairs(system, 1, seed=seed)[0][0])
     gap = lam1 - lam_kp
-    # the floor 1/sum(a) has eigenvalue units, as in the residual check
-    floor = 1.0 / float(mass_diagonal(A).sum())
-    threshold = -1e-6 * lam_kp - 1e-12 * max(floor, lam_next)
+    # floored in eigenvalue units, as in the residual check
+    threshold = -1e-6 * lam_kp - 1e-12 * max(_eigenvalue_floor(A), lam_next)
     return GapReport(
         kprime=kprime,
         mu_r=mu_r,
@@ -648,9 +644,9 @@ def verify_upper_bound(
     )
     sub_basis = compute_mh(None, sub_k, seed=seed, W=W_rr, A=A_rr)
     rhs = sub_basis.spectrum[kprime : kprime + k]
-    # relative slack plus a floor in eigenvalue units, 1/sum(a) as in the
-    # residual check, so a zero eigenvalue at -1e-15 keeps its own bound
-    floor = 1.0 / float(mass_diagonal(A).sum())
+    # relative slack plus a floor in eigenvalue units, as in the residual
+    # check, so a zero eigenvalue at -1e-15 keeps its own bound
+    floor = _eigenvalue_floor(A)
     slack = tolerance * np.abs(rhs) + 1e-9 * max(floor, float(np.abs(rhs).max()))
     margins = rhs + slack - lmh.spectrum
     return BoundReport(

@@ -10,13 +10,15 @@ Ritz vectors each formed by one matrix product. One object,
 ``LowRankShiftedSystem``, owns the pencil
 ``Q = W + diag(penalty) + mu_perp B B^T`` (mu_perp = 0 for the global
 harmonics), its positive mass A and its shift sigma;
-``smallest_eigenpairs`` takes it alone. The dense routes take matrices
-that their callers derive from it: ``hard_constraint_eig(Z, A, Phi, k)``
-the unshifted sparse part ``sparse_part(0.0)``, and
-``dense_oracle_eig(Q, A)`` Q densified through ``q_apply``. It solves with
-``Q - sigma A = Z + mu_perp B B^T``: at its first solve it computes the
-checked sparse LU of Z (``factorize``) and the dense n-by-k' Woodbury
-correction, so building a system costs no factorization.
+``smallest_eigenpairs`` takes it alone and serves every k up to n
+with ``eigsh``. The dense routes, ``compute_lmh``'s ``hard`` and
+``oracle`` paths, take matrices derived from it:
+``hard_constraint_eig(Z, A, Phi, k)`` the unshifted sparse part
+``sparse_part(0.0)``, and ``dense_oracle_eig(Q, A)`` Q densified through
+``q_apply``. The system solves with ``Q - sigma A = Z + mu_perp B B^T``:
+at its first solve it computes the checked sparse LU of Z
+(``factorize``) and the dense n-by-k' Woodbury correction, so building
+a system costs no factorization.
 Z must be symmetric positive definite or semi-definite: ``factorize``
 orders it by reverse Cuthill-McKee followed by SuperLU's minimum degree
 on Z + Z^T, and factors it in symmetric mode without pivoting. No n-by-n
@@ -122,6 +124,15 @@ def default_shift(W, A):
         If a mass entry is zero, negative, infinite or NaN.
     """
     return -1e-6 * float(np.mean(W.diagonal() / _positive_mass(A)))
+
+
+def _eigenvalue_floor(A):
+    """One over the surface area, ``1 / sum(a)``: a floor in eigenvalue units.
+
+    It is 1 on a mesh of unit area and scales like the eigenvalues, by
+    1/L^2 when the mesh is scaled by L.
+    """
+    return 1.0 / float(mass_diagonal(A).sum())
 
 
 @functools.cache
@@ -548,8 +559,7 @@ def dense_oracle_eig(Q, A):
 _LANCZOS_TOL = 1e-10
 # acceptance threshold for the verified residuals
 # |Q psi - lam A psi| <= _RESIDUAL_TOL * max(1 / sum(a), |lam|) * |A psi|
-# plus the solves' backward-error floor (_residual_failure); 1 / sum(a),
-# one over the surface area, is the floor in eigenvalue units
+# plus the solves' backward-error floor (_residual_failure)
 _RESIDUAL_TOL = 1e-8
 # a Gram-Schmidt pass that keeps less than this fraction of the vector's
 # norm has lost digits to cancellation and is repeated (Daniel, Gragg,
@@ -706,7 +716,10 @@ def eigsh(op, v0, k, ncv, tol, rng):
     v0 : ndarray of shape (n,)
         Starting vector; ``op(v0)`` must be nonzero.
     k : int
-        Number of eigenpairs, ``1 <= k <= ncv - 2``.
+        Number of eigenpairs, ``1 <= k <= ncv - 2``, or ``1 <= k <= n``
+        when ``ncv == n``: one pass then spans the whole space, the last
+        Gram-Schmidt leaves only roundoff, which ``_orthogonalize``
+        returns as beta = 0, and every Ritz pair converges.
     ncv : int
         Dimension of the Krylov basis, at most n.
     tol : float
@@ -760,9 +773,10 @@ def eigsh(op, v0, k, ncv, tol, rng):
     that owns its buffer, so no view of the discarded rows survives.
     """
     n = v0.size
-    if not 1 <= k <= ncv - 2 or ncv > n:
+    if ncv > n or not 1 <= k <= (n if ncv == n else ncv - 2):
         raise ValueError(
-            f"need 1 <= k <= ncv - 2 and ncv <= n, got k={k}, ncv={ncv}, n={n}"
+            f"need ncv <= n and 1 <= k <= ncv - 2, or k <= n at ncv = n; "
+            f"got k={k}, ncv={ncv}, n={n}"
         )
     V = np.empty((ncv + 1, n))
     V[0] = op(v0)
@@ -802,13 +816,11 @@ def smallest_eigenpairs(system, k, seed=0):
     Parameters
     ----------
     system : LowRankShiftedSystem
-        The pencil: ``q_apply`` applies Q (the residual check and the
-        small-problem dense fallback), ``mass`` is the positive diagonal
-        of A, and ``solve_shifted`` solves with ``Q - sigma A``,
-        computing the LU at its first call, so the dense fallback never
-        factorizes. Its ``sigma`` must lie strictly below the smallest
-        eigenvalue (small negative values work for positive
-        semi-definite Q).
+        The pencil: ``q_apply`` applies Q (the residual check), ``mass``
+        is the positive diagonal of A, and ``solve_shifted`` solves with
+        ``Q - sigma A``, computing the LU at its first call. Its
+        ``sigma`` must lie strictly below the smallest eigenvalue (small
+        negative values work for positive semi-definite Q).
     k : int
         Number of eigenpairs, ``1 <= k <= n``.
     seed : int
@@ -833,8 +845,9 @@ def smallest_eigenpairs(system, k, seed=0):
     the whitened ``H = S^-1 Q S^-1``, whose eigenvalues are the
     pencil's: ``(H - sigma I)^-1 y = S solve_shifted(S y)``, one shifted
     solve per Lanczos step, from the start vector ``S v0``, with
-    ``k + 6`` wanted pairs, a basis of ``2 (k + 6) + 10`` vectors and
-    the tolerance ``_LANCZOS_TOL``. Its eigenvalues theta give
+    ``k_solve = max(k, min(k + 6, n - 2))`` wanted pairs, a basis of
+    ``min(n, 2 k_solve + 10)`` vectors (past n - 2, the whole space)
+    and the tolerance ``_LANCZOS_TOL``. Its eigenvalues theta give
     ``lam = 1 / theta + sigma``; its orthonormal Ritz vectors are
     unwhitened in place (``Psi = S^-1 Phi``) and are A-orthonormal.
 
@@ -846,10 +859,9 @@ def smallest_eigenpairs(system, k, seed=0):
     the shifted solves allocate (the LU and the correction block at the
     first solve) and less than one n-by-k array besides.
 
-    Every returned pair, from ``eigsh`` or from the dense fallback for
-    ``k > n - 2``, passes ``_residual_failure``'s check, or the solve
-    raises ``NumericalError`` (exit code 2 on the command line); no step
-    repairs a pair that misses it. The Lanczos tolerance is relative to
+    Every returned pair passes ``_residual_failure``'s check, or the
+    solve raises ``NumericalError`` (exit code 2 on the command line); no
+    step repairs a pair that misses it. The Lanczos tolerance is relative to
     each Ritz value of the inverted operator, so a zero eigenvalue,
     theta = -1/sigma, must not dwarf the wanted ones: ``default_shift``
     sets sigma in eigenvalue units, so that ratio does not depend on the
@@ -859,32 +871,22 @@ def smallest_eigenpairs(system, k, seed=0):
     n = a.size
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
-
-    if k > n - 2:
-        # Lanczos needs k <= n - 2; tiny or near-complete requests go dense
-        if n > DENSE_ORACLE_MAX_N:
-            raise ValueError(
-                f"k={k} too close to n={n} for the iterative path and n "
-                f"exceeds the dense guard {DENSE_ORACLE_MAX_N}"
-            )
-        lam, Psi = dense_oracle_eig(system.q_apply(np.eye(n)), a)
-    else:
-        # a restart can purge one copy of a degenerate pair sitting
-        # exactly on the window edge; computing a few pairs past k and
-        # truncating moves the edge off the requested window
-        k_solve = min(k + 6, n - 2)
-        ncv = min(n, max(2 * k_solve + 10, k_solve + 2))
-        rng = np.random.default_rng(seed)
-        v0 = rng.uniform(-1.0, 1.0, n)
-        # the whitened pencil: H = S^-1 Q S^-1 with S = diag(sqrt(a)) has
-        # the same eigenvalues, eigenvectors S psi, and
-        # (H - sigma I)^-1 = S (Q - sigma A)^-1 S
-        s = np.sqrt(a)
-        with _serial_blas():
-            theta, Psi = eigsh(
-                lambda y: s * system.solve_shifted(s * y), s * v0, k_solve,
-                ncv=ncv, tol=_LANCZOS_TOL, rng=rng,
-            )
+    # a restart can purge one copy of a degenerate pair sitting exactly
+    # on the window edge; computing a few pairs past k and truncating
+    # moves the edge off the requested window
+    k_solve = max(k, min(k + 6, n - 2))
+    ncv = min(n, max(2 * k_solve + 10, k_solve + 2))
+    rng = np.random.default_rng(seed)
+    v0 = rng.uniform(-1.0, 1.0, n)
+    # the whitened pencil: H = S^-1 Q S^-1 with S = diag(sqrt(a)) has
+    # the same eigenvalues, eigenvectors S psi, and
+    # (H - sigma I)^-1 = S (Q - sigma A)^-1 S
+    s = np.sqrt(a)
+    with _serial_blas():
+        theta, Psi = eigsh(
+            lambda y: s * system.solve_shifted(s * y), s * v0, k_solve,
+            ncv=ncv, tol=_LANCZOS_TOL, rng=rng,
+        )
         lam = 1.0 / theta + system.sigma
         Psi /= s[:, None]
         # theta comes by decreasing magnitude, which for a shift below
@@ -892,7 +894,6 @@ def smallest_eigenpairs(system, k, seed=0):
         order = np.argsort(lam)
         if np.any(order != np.arange(order.size)):
             lam, Psi = lam[order], Psi[:, order]
-    with _serial_blas():
         failure = _residual_failure(system, lam[:k], Psi[:, :k])
         if failure is not None:
             raise NumericalError(failure)
@@ -904,11 +905,10 @@ def _residual_failure(system, lam, Psi):
     """Message naming the worst pair over the residual bound, or None.
 
     The bound is ``_RESIDUAL_TOL * max(1 / sum(a), |lam|) * |A psi|``
-    per pair. Its floor, one over the surface area, has the units of an
-    eigenvalue: it is 1 on a mesh of unit area, and on a mesh scaled by
-    L the bound of every pair, a zero eigenvalue's too, scales like the
-    roundoff in ``Q psi``. To it is added the shifted solves'
-    backward-error floor,
+    per pair. Its floor, ``_eigenvalue_floor``, has the units of an
+    eigenvalue, so on a mesh scaled by L the bound of every pair, a zero
+    eigenvalue's too, scales like the roundoff in ``Q psi``. To it is
+    added the shifted solves' backward-error floor,
     ``_BACKWARD_ERROR_ULPS * eps * norm_bound * |psi|``: no pair is more
     accurate than the solves it came from. It is the larger term only
     for a mu_perp far above the eigenvalues: with mu_perp = 1e5 on a
@@ -929,7 +929,8 @@ def _residual_failure(system, lam, Psi):
         aPsi *= lam[None, cols]
         residuals -= aPsi
         res_norms[cols] = np.linalg.norm(residuals, axis=0)
-    ref = _RESIDUAL_TOL * np.maximum(1.0 / a.sum(), np.abs(lam)) * mass_norms
+    floor = _eigenvalue_floor(a)
+    ref = _RESIDUAL_TOL * np.maximum(floor, np.abs(lam)) * mass_norms
     ulp = _BACKWARD_ERROR_ULPS * np.finfo(np.float64).eps
     ref += ulp * system.norm_bound * psi_norms
     if not np.any(res_norms > ref):

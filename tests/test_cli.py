@@ -303,10 +303,15 @@ class TestBlasThreadIndependence:
         lmhio.save_region(Region.binary(2562, np.arange(500)), region)
         truth = tmp_path / "truth.txt"
         lmhio.save_p2p(np.arange(2562), truth)
+        # k = n - 1 on 169 vertices: its basis is the whole space, which
+        # once went to a dense solve at the process thread count
+        small = tmp_path / "small.off"
+        write_off(grid_mesh(12, 12), small)
         src = str(Path(lmh.__file__).resolve().parent.parent)
         mh, m, r = "out/mh_basis.txt", str(mesh), str(region)
         chain = [
             ["mh", "--mesh", m, "--k", "20"],
+            ["mh", "--mesh", str(small), "--k", "168", "--prefix", "small_"],
             ["lmh", "--mesh", m, "--region", r, "--phi", mh, "--k", "30"],
             ["gap", "--mesh", m, "--region", r, "--kprime", "20"],
             ["bound", "--mesh", m, "--region", r, "--kprime", "5", "--k", "10"],
@@ -345,7 +350,7 @@ class TestBlasThreadIndependence:
         assert sorted(outputs["1"]) == [
             "cmatrix.txt", "lmh_basis.txt", "lmh_spectrum.txt", "mh_basis.txt",
             "mh_spectrum.txt", "p2p.txt", "recon_error.txt",
-            "reconstructed.off",
+            "reconstructed.off", "small_mh_basis.txt", "small_mh_spectrum.txt",
         ]
         for name in outputs["1"]:
             assert outputs["1"][name] == outputs["2"][name], name

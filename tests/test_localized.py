@@ -33,7 +33,8 @@ from lmh.solvers import (
     hard_constraint_eig,
     smallest_eigenpairs,
 )
-from lmh.synth import grid_mesh, icosphere, patch_vertices
+from lmh.synth import (grid_mesh, icosphere, patch_vertices, single_triangle,
+                       tetrahedron)
 
 from oracles import (
     bellman_ford,
@@ -104,6 +105,15 @@ class TestRegion:
 
     def test_membership_read_only(self):
         r = Region([0.0, 1.0])
+        with pytest.raises(ValueError):
+            r.u[0] = 0.5
+
+    def test_callers_array_stays_writable(self):
+        # a flat float64 array once became the region's own, frozen
+        u = np.zeros(5)
+        r = Region(u)
+        u[0] = 1.0
+        assert r.u[0] == 0.0
         with pytest.raises(ValueError):
             r.u[0] = 0.5
 
@@ -504,6 +514,23 @@ class TestComputePmh:
             pmh.spectrum, expected, rtol=0.02, atol=1e-8
         )
 
+    def test_k_equal_to_the_submesh_size(self):
+        mesh = grid_mesh(10, 10)
+        region = Region.binary(
+            mesh.n_vertices, patch_vertices(mesh, (-0.01, 0.51), (-0.01, 0.41))
+        )
+        sub, vidx = extract_submesh(mesh, region)
+        assert sub.n_vertices == 30
+        pmh = compute_pmh(mesh, region, k=30)
+        a = mass_diagonal(assemble_mass(sub))
+        expect = dense_pencil_eig(assemble_stiffness(sub).toarray(), a)[0]
+        scale = np.maximum(np.abs(expect), 1.0 / a.sum())
+        assert np.all(np.abs(pmh.spectrum - expect) <= 1e-9 * scale)
+        F = pmh.functions[vidx]
+        assert np.abs(F.T @ (a[:, None] * F) - np.eye(30)).max() <= 1e-10
+        with pytest.raises(ValueError, match=r"k must be in \[1, 30\], got 31"):
+            compute_pmh(mesh, region, k=31)
+
     def test_rejects_bad_regions(self, unit_square):
         with pytest.raises(ValueError):
             compute_pmh(unit_square, Region([0.5] * unit_square.n_vertices), 3)
@@ -815,6 +842,49 @@ class TestDisconnectedMesh:
         mesh, expect = two_grids
         lam = compute_mh(mesh, 3).spectrum
         np.testing.assert_allclose(lam, expect, rtol=1e-8, atol=1e-10)
+
+
+def side_by_side(mesh):
+    """Two disjoint copies of the mesh, the second moved 3 along x."""
+    return TriMesh(
+        np.vstack([mesh.vertices, mesh.vertices + [3.0, 0.0, 0.0]]),
+        np.vstack([mesh.faces, mesh.faces + mesh.n_vertices]),
+    )
+
+
+class TestEveryKUpToN:
+    """``compute_mh`` runs Lanczos for every k up to n: past n - 2 its
+    basis is the whole space, and one pass converges every pair."""
+
+    MESHES = {
+        "tetrahedron": tetrahedron,
+        "triangle": single_triangle,
+        "two_triangles": lambda: side_by_side(single_triangle()),
+        "two_grids": lambda: side_by_side(grid_mesh(3, 3)),
+        "icosphere": lambda: icosphere(0),
+        "grid": lambda: grid_mesh(10, 10),
+    }
+
+    @pytest.mark.parametrize("below_n", [2, 1, 0])
+    @pytest.mark.parametrize("name", sorted(MESHES))
+    def test_matches_the_dense_pencil(self, name, below_n):
+        mesh = self.MESHES[name]()
+        W, A = assemble_stiffness(mesh), assemble_mass(mesh)
+        a = mass_diagonal(A)
+        k = a.size - below_n
+        expect = dense_pencil_eig(W.toarray(), a)[0][:k]
+        # a zero eigenvalue is compared in eigenvalue units, 1 / sum(a)
+        scale = np.maximum(np.abs(expect), 1.0 / a.sum())
+        for seed in range(3):
+            basis = compute_mh(mesh, k, seed=seed, W=W, A=A)
+            assert np.all(np.abs(basis.spectrum - expect) <= 1e-9 * scale)
+            F = basis.functions
+            assert np.abs(F.T @ (a[:, None] * F) - np.eye(k)).max() <= 1e-10
+
+    def test_k_outside_1_to_n_is_refused(self, tetra):
+        for k in (0, 5):
+            with pytest.raises(ValueError, match=rf"k must be in \[1, 4\], got {k}"):
+                compute_mh(tetra, k)
 
 
 class TestDegenerateRitzPairs:

@@ -1223,7 +1223,7 @@ class TestBlasThreadScope:
         basis = tied_basis()
         for scope in (contextlib.nullcontext, solvers._serial_blas):
             with scope():
-                compute_mh(tetra, 4)  # k > n - 2: dense fallback
+                compute_lmh(tetra, None, 2, 0, solver="oracle")
                 hard_constraint_eig(Z, A, np.zeros((n, 0)), 4)
                 p2p = recover_p2p(np.eye(4), basis_x=basis, basis_y=basis)
             assert p2p[3] == p2p[7] == 3
@@ -1325,3 +1325,23 @@ def test_solvers_alone_owns_the_thread_exceptions():
         assert sorted(decorated) == ["dense_oracle_eig", "hard_constraint_eig"]
         # and no other use, such as a ``with`` block
         assert len(uses) == len(decorated)
+
+
+def test_compute_lmh_alone_names_the_dense_oracle():
+    """``dense_oracle_eig`` serves only ``compute_lmh``'s oracle path, so
+    every other path has one eigensolver: ``smallest_eigenpairs`` runs
+    Lanczos for every k up to n."""
+    root = Path(solvers.__file__).resolve().parent
+    owners = []
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        parent = {child: node for node in ast.walk(tree)
+                  for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            # a Name's id or an Attribute's attr; imports and the def are neither
+            if getattr(node, "id", getattr(node, "attr", None)) == "dense_oracle_eig":
+                owner = node
+                while owner in parent and not isinstance(owner, ast.FunctionDef):
+                    owner = parent[owner]
+                owners.append((path.stem, getattr(owner, "name", None)))
+    assert owners == [("localized", "compute_lmh")]
