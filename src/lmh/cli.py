@@ -7,17 +7,16 @@ benchmark. Every run is a pure function of its flags and seed; no
 environment variables are consulted, and numeric outputs are written
 with 17 significant digits so reruns are byte-identical.
 
-Every command runs with BLAS at one thread (``solvers._serial_blas``):
-its BLAS calls are too small to gain from threads, and an idle OpenBLAS
-worker spins for about 0.1 s after each threaded call, burning CPU while
-the serial work goes on. So output files and JSON summaries do not
+The command line sets no BLAS thread count of its own; the library's
+thread policy (``lmh.solvers``) holds. Its small BLAS calls run at one
+thread in serial scopes, so output files and JSON summaries do not
 depend on the BLAS thread count: ``mh``, ``pmh`` and ``bound`` run
-shift-invert Lanczos for every k up to n, so at every k. The two
-exceptions, whose work grows as the cube of the mesh size, keep the
-process thread count: the dense ``--solver hard`` and ``--solver
-oracle`` paths, also as ``bench`` runs them (their outputs match only
-at the same thread count). ``p2p`` runs serial too, and its indices are
-exact at any thread count.
+shift-invert Lanczos for every k up to n, so at every k, and ``p2p``'s
+indices are exact at any thread count. The dense ``--solver hard`` and
+``--solver oracle`` paths, whose work grows as the cube of the mesh
+size, run outside every serial scope at the process thread count, also
+as ``bench`` runs them (their outputs match only at the same thread
+count).
 
 Warnings raised by a command print as ``warning: <message>`` on stderr,
 without a source location.
@@ -56,7 +55,7 @@ from .localized import (
 )
 from .fmap import build_fmap, geodesic_error_stats, offblock_energy, recover_p2p
 from .mesh import MeshError, membership, read_mesh, surface_area, write_off
-from .solvers import NumericalError, _serial_blas
+from .solvers import NumericalError
 from .spectral import reconstruct_surface, reconstruction_error
 from .synth import patch_vertices
 
@@ -578,7 +577,7 @@ def run(argv=None):
         return 1
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    with _serial_blas(), warnings.catch_warnings():
+    with warnings.catch_warnings():
         warnings.showwarning = _print_warning
         try:
             return args.func(args)

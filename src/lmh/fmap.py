@@ -10,8 +10,9 @@ nearest-neighbour search and the geodesic error work in blocks of at
 most ``_BLOCK_ENTRIES`` float64 entries (2 MiB), and the rows that
 rounding cannot separate are decided by ``_euclidean``, the sequential
 distance that equals ``scipy.spatial.distance.cdist`` bit for bit.
-``recover_p2p`` runs BLAS at one thread, as all of lmh does but its
-dense eigensolvers: at 2562 vertices a side, more threads gain nothing.
+``build_fmap`` and ``recover_p2p`` each run BLAS in a serial scope, by
+the thread policy of ``lmh.solvers``: at 2562 vertices a side, more
+threads gain nothing, and the results do not depend on the thread count.
 """
 
 from __future__ import annotations
@@ -66,6 +67,7 @@ def stack_bases(bases):
     )
 
 
+@_serial_blas()
 def build_fmap(basis_x, basis_y, p2p, A_y):
     """Functional map from a point-to-point correspondence.
 
@@ -207,7 +209,7 @@ def geodesic_error_stats(recovered, truth, mesh, n_thresholds=100, max_threshold
     Parameters
     ----------
     recovered, truth : array_like of int
-        Same length; vertex indices on ``mesh``.
+        Same non-zero length; vertex indices on ``mesh``.
     mesh : TriMesh
         The mesh the correspondents live on.
 
@@ -219,9 +221,11 @@ def geodesic_error_stats(recovered, truth, mesh, n_thresholds=100, max_threshold
     truth = np.asarray(truth, dtype=np.int64)
     if recovered.shape != truth.shape:
         raise ValueError("recovered and truth maps differ in length")
+    if recovered.size == 0:
+        raise ValueError("recovered and truth maps are empty")
     n = mesh.n_vertices
     for name, arr in (("recovered", recovered), ("truth", truth)):
-        if arr.size and (arr.min() < 0 or arr.max() >= n):
+        if arr.min() < 0 or arr.max() >= n:
             raise ValueError(f"{name} map indexes outside [0, {n})")
 
     scale = 1.0 / np.sqrt(surface_area(mesh))

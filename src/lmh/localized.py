@@ -342,7 +342,10 @@ def compute_lmh(
     elif solver == "relaxed":
         lam, Psi = smallest_eigenpairs(system, k, seed=seed)
     else:
-        vals, vecs = dense_oracle_eig(system.q_apply(np.eye(n)), A)
+        # densified at one thread; only the eigensolver takes the thread count
+        with _serial_blas():
+            Q = system.q_apply(np.eye(n))
+        vals, vecs = dense_oracle_eig(Q, A)
         # a copy, so the basis does not keep all n eigenvectors alive
         lam, Psi = vals[:k], vecs[:, :k].copy(order="F")
 

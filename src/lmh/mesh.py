@@ -343,6 +343,8 @@ def _valid_membership(u):
     u = np.asarray(u, dtype=np.float64)
     if u.ndim != 1:
         raise ValueError("membership u must be a flat per-vertex array")
+    if u.size == 0:
+        raise ValueError("membership u is empty: it has no per-vertex values")
     if not np.all(np.isfinite(u)):
         raise ValueError("membership u contains non-finite values")
     if u.min() < 0.0 or u.max() > 1.0:

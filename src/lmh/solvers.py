@@ -56,27 +56,27 @@ m-by-m array is resident. The buffer does not come from numpy because
 numpy advises transparent huge pages for large arrays, and 2 MiB pages
 would back the upper triangle too. Its cost is the O(n^3) ``eigh``.
 
-Thread policy, owned here: lmh runs BLAS at one thread. The two
-exceptions are the dense eigensolvers, ``hard_constraint_eig`` and
-``dense_oracle_eig``, whose work grows as n^3. The rest (Lanczos steps,
-Gram-Schmidt, Gram checks, products with n-by-k blocks, the distance
-GEMM of ``fmap.recover_p2p``) is too small to gain from threads, and a
-threaded call costs more than its own time: after it, each idle
+Thread policy, owned here: small BLAS runs in serial scopes, and the
+dense eigensolvers run outside every scope. ``_serial_blas`` sets the
+bundled OpenBLAS pools to one thread for its block; each library
+function whose BLAS calls are small opens one (Lanczos steps,
+Gram-Schmidt, Gram checks, products with n-by-k blocks, the functional
+map and the distance GEMM of ``fmap.recover_p2p``). Such calls are too
+small to gain from threads, and after a threaded call each idle
 OpenBLAS worker spins for about 0.1 s while the serial work that
 follows runs, so CPU time exceeds wall time. Serial BLAS also makes
-results independent of the thread count.
-``_serial_blas`` sets the bundled OpenBLAS pools to one thread for its
-block (the command line runs every command in one); ``_process_blas``,
-which only the two exceptions use, runs them at the counts the pools
-had outside every ``_serial_blas`` scope.
+their results independent of the thread count. ``hard_constraint_eig``
+and ``dense_oracle_eig``, whose work grows as n^3, are called outside
+every scope, at the process thread count. The command line opens no
+scope of its own.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
-import itertools
 import mmap
+import threading
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -161,55 +161,39 @@ def _blas_thread_controls():
     return tuple(controls)
 
 
-@contextmanager
-def _pools_at(counts):
-    """Run the block with the bundled OpenBLAS pools at ``counts``, one per pool.
-
-    Each pool gets back the count it had on entry, also on an exception,
-    so scopes nest. The counts are process-wide: concurrent scopes in
-    several Python threads may restore each other's values.
-    """
-    controls = _blas_thread_controls()
-    saved = [get() for get, _ in controls]
-    for (_, set_), count in zip(controls, counts):
-        set_(count)
-    try:
-        yield
-    finally:
-        for (_, set_), count in zip(controls, saved):
-            set_(count)
-
-
-# the pool counts outside every open _serial_blas scope, None when no
-# scope is open; process-wide, like the counts themselves
-_process_counts = None
+# open _serial_blas scopes, counted over every Python thread, and the
+# pool counts the first of them found; the counts themselves are
+# process-wide, so one scope per thread could restore another's
+_serial_lock = threading.Lock()
+_serial_depth = 0
+_entry_counts = ()
 
 
 @contextmanager
 def _serial_blas():
     """Run the block with every bundled OpenBLAS pool at one thread.
 
-    Scopes nest; the outermost one records the counts it found, which
-    ``_process_blas`` sets again inside.
+    Scopes nest, also across Python threads: the first to open records
+    the pool counts and sets them to 1, and the last to close restores
+    them, also on an exception. A dense eigensolver that another thread
+    runs meanwhile runs serial too.
     """
-    global _process_counts
-    outermost = _process_counts is None
-    if outermost:
-        _process_counts = [get() for get, _ in _blas_thread_controls()]
+    global _serial_depth, _entry_counts
+    controls = _blas_thread_controls()
+    with _serial_lock:
+        if _serial_depth == 0:
+            _entry_counts = [get() for get, _ in controls]
+            for _, set_ in controls:
+                set_(1)
+        _serial_depth += 1
     try:
-        with _pools_at(itertools.repeat(1)):
-            yield
-    finally:
-        if outermost:
-            _process_counts = None
-
-
-@contextmanager
-def _process_blas():
-    """Run the block at the pool counts found outside every ``_serial_blas``
-    scope; outside all of them, at the current counts."""
-    with _pools_at(_process_counts or ()):
         yield
+    finally:
+        with _serial_lock:
+            _serial_depth -= 1
+            if _serial_depth == 0:
+                for (_, set_), count in zip(controls, _entry_counts):
+                    set_(count)
 
 
 def _positive_mass(A):
@@ -411,7 +395,7 @@ class LowRankShiftedSystem:
         """Apply the unshifted Q to a vector or matrix of columns."""
         y = self.W @ x
         y += self.penalty * x if x.ndim == 1 else self.penalty[:, None] * x
-        if self.rank and self.mu_perp != 0.0:
+        if self._low_rank:
             y += self.mu_perp * (self.B @ (self.B.T @ x))
         return y
 
@@ -430,6 +414,11 @@ class LowRankShiftedSystem:
     def rank(self):
         return self.B.shape[1]
 
+    @property
+    def _low_rank(self):
+        """Whether the system has a low-rank term: rank > 0 and mu_perp != 0."""
+        return self.rank > 0 and self.mu_perp != 0.0
+
     @functools.cached_property
     def norm_bound(self):
         """||Z||_1 + mu_perp ||B||_2^2, a bound on the system's 2-norm.
@@ -437,13 +426,14 @@ class LowRankShiftedSystem:
         ||Z||_1, the largest absolute column sum, bounds ||Z||_2 (Z = Z^T).
         """
         z_norm = float(abs(self.Z).sum(axis=0).max())
-        low_rank = self.mu_perp * np.linalg.norm(self.B, 2) ** 2 if self.rank else 0.0
-        return z_norm + low_rank
+        if not self._low_rank:
+            return z_norm
+        return z_norm + self.mu_perp * np.linalg.norm(self.B, 2) ** 2
 
     def apply(self, x):
         """Apply ``Z + mu_perp B B^T`` to a vector or matrix of columns."""
         y = self.Z @ x
-        if self.rank and self.mu_perp != 0.0:
+        if self._low_rank:
             y = y + self.mu_perp * (self.B @ (self.B.T @ x))
         return y
 
@@ -477,7 +467,7 @@ class LowRankShiftedSystem:
         correction that does not lower it is discarded and ends the loop.
         """
         rhs = np.asarray(rhs, dtype=np.float64)
-        if self.rank == 0 or self.mu_perp == 0.0:
+        if not self._low_rank:
             return self._lu.solve(rhs)
         rhs_norm = _fro(rhs)
         floor = _BACKWARD_ERROR_ULPS * np.finfo(np.float64).eps
@@ -525,7 +515,6 @@ def _flip_signs(Psi):
     return Psi
 
 
-@_process_blas()
 def dense_oracle_eig(Q, A):
     """Full dense solve of the pencil (Q, A) by symmetric whitening.
 
@@ -875,7 +864,7 @@ def smallest_eigenpairs(system, k, seed=0):
     # on the window edge; computing a few pairs past k and truncating
     # moves the edge off the requested window
     k_solve = max(k, min(k + 6, n - 2))
-    ncv = min(n, max(2 * k_solve + 10, k_solve + 2))
+    ncv = min(n, 2 * k_solve + 10)
     rng = np.random.default_rng(seed)
     v0 = rng.uniform(-1.0, 1.0, n)
     # the whitened pencil: H = S^-1 Q S^-1 with S = diag(sqrt(a)) has
@@ -985,7 +974,6 @@ def _lower_triangle_buffer(block):
     return flat.reshape((m, m), order="F")
 
 
-@_process_blas()
 def hard_constraint_eig(Z, A, Phi, k):
     """Exact eigenpairs of the penalized operator on the complement of Phi.
 

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 
 from .fem import assemble_mass, mass_diagonal
+from .solvers import _serial_blas
 
 
 def analyze(basis, A, f):
@@ -62,6 +63,7 @@ def basis_cross_orthogonality(bases, A):
     return worst
 
 
+@_serial_blas()
 def reconstruct_surface(mesh, bases, A=None):
     """Re-synthesize vertex coordinates from one or more spectral bases.
 
@@ -104,7 +106,8 @@ def reconstruct_surface(mesh, bases, A=None):
             warnings.warn(
                 f"bases are not mutually A-orthogonal (max cross term "
                 f"{worst:.3e}); overlapping content is reconstructed twice",
-                stacklevel=2,
+                # past the frame of the serial-BLAS decorator
+                stacklevel=3,
             )
     rec = np.zeros((mesh.n_vertices, 3))
     for b in bases:

@@ -296,7 +296,9 @@ class TestBlasThreadIndependence:
         # at n=2562 the BLAS calls of every command are large enough to be
         # split across threads when the pools are left at the default;
         # fmap's C matrix differed between 1 and 2 threads before every
-        # command ran on serial BLAS
+        # command ran on serial BLAS. The command line opens no serial
+        # scope, so every command's small BLAS must sit in one of the
+        # library's
         mesh = tmp_path / "sphere.off"
         write_off(icosphere(4, radius=5.0), mesh)
         region = tmp_path / "region.txt"
@@ -310,8 +312,13 @@ class TestBlasThreadIndependence:
         src = str(Path(lmh.__file__).resolve().parent.parent)
         mh, m, r = "out/mh_basis.txt", str(mesh), str(region)
         chain = [
+            ["region", "--mesh", m, "--seeds", "0", "--variance", "4",
+             "--threshold", "0.5"],
             ["mh", "--mesh", m, "--k", "20"],
             ["mh", "--mesh", str(small), "--k", "168", "--prefix", "small_"],
+            ["pmh", "--mesh", m, "--region", "out/region.txt", "--k", "10"],
+            ["weyl", "--mesh", m, "--region", "out/region.txt", "--k", "20",
+             "--kprime", "10"],
             ["lmh", "--mesh", m, "--region", r, "--phi", mh, "--k", "30"],
             ["gap", "--mesh", m, "--region", r, "--kprime", "20"],
             ["bound", "--mesh", m, "--region", r, "--kprime", "5", "--k", "10"],
@@ -320,6 +327,8 @@ class TestBlasThreadIndependence:
              "--p2p", str(truth)],
             ["p2p", "--cmatrix", "out/cmatrix.txt", "--basis-x", mh,
              "--basis-y", mh],
+            ["error-curve", "--mesh", m, "--p2p", "out/p2p.txt",
+             "--truth", str(truth)],
         ]
         # one process per thread count runs the whole chain, each command
         # through cli.run, and prints the exit codes last
@@ -348,9 +357,10 @@ class TestBlasThreadIndependence:
                 p.name: p.read_bytes() for p in (cwd / "out").iterdir()
             }
         assert sorted(outputs["1"]) == [
-            "cmatrix.txt", "lmh_basis.txt", "lmh_spectrum.txt", "mh_basis.txt",
-            "mh_spectrum.txt", "p2p.txt", "recon_error.txt",
-            "reconstructed.off", "small_mh_basis.txt", "small_mh_spectrum.txt",
+            "cmatrix.txt", "curve.csv", "lmh_basis.txt", "lmh_spectrum.txt",
+            "mh_basis.txt", "mh_spectrum.txt", "p2p.txt", "pmh_basis.txt",
+            "pmh_spectrum.txt", "recon_error.txt", "reconstructed.off",
+            "region.txt", "small_mh_basis.txt", "small_mh_spectrum.txt",
         ]
         for name in outputs["1"]:
             assert outputs["1"][name] == outputs["2"][name], name
@@ -683,6 +693,27 @@ class TestExitCodes:
         assert cli.run(["mh", "--mesh", str(path), "--k", "1",
                         "--out-dir", str(tmp_path)]) == 1
         assert "vertex 3 is not referenced" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["lmh", "pmh"])
+    def test_empty_region_file(self, capsys, mesh_file, tmp_path, command):
+        # once exit 1 with numpy's "zero-size array to reduction operation
+        # minimum which has no identity"
+        region = tmp_path / "empty.txt"
+        region.write_text("")
+        assert cli.run([command, "--mesh", str(mesh_file), "--region",
+                        str(region), "--k", "3", "--out-dir", str(tmp_path)]) == 1
+        assert "error: membership u is empty" in capsys.readouterr().err
+
+    def test_empty_maps_in_error_curve(self, capsys, mesh_file, tmp_path):
+        # once exit 0 with "mean_error": NaN, which is not JSON
+        empty = tmp_path / "empty.txt"
+        empty.write_text("")
+        assert cli.run(["error-curve", "--mesh", str(mesh_file), "--p2p",
+                        str(empty), "--truth", str(empty),
+                        "--out-dir", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert "error: recovered and truth maps are empty" in captured.err
+        assert captured.out == ""
 
     def test_help_exits_0(self, capsys):
         assert cli.run(["--help"]) == 0

@@ -321,6 +321,13 @@ class TestGeodesicErrorStats:
         with pytest.raises(ValueError):
             geodesic_error_stats(bad, np.arange(n), unit_square)
 
+    def test_empty_maps_raise(self, unit_square):
+        # two empty maps once gave a NaN mean error and a "Mean of empty
+        # slice" warning
+        empty = np.zeros(0, dtype=np.int64)
+        with pytest.raises(ValueError, match="maps are empty"):
+            geodesic_error_stats(empty, empty, unit_square)
+
 
 class TestOffblockEnergy:
     def test_block_diagonal_matrix(self):

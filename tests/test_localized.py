@@ -103,6 +103,12 @@ class TestRegion:
         with pytest.raises(ValueError):
             Region([0.0, np.nan])
 
+    def test_empty_membership_is_named(self):
+        # an empty u once failed inside numpy's reduction, as "zero-size
+        # array to reduction operation minimum which has no identity"
+        with pytest.raises(ValueError, match="membership u is empty"):
+            Region(np.zeros(0))
+
     def test_membership_read_only(self):
         r = Region([0.0, 1.0])
         with pytest.raises(ValueError):

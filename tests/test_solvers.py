@@ -2,12 +2,12 @@
 eigensolver paths."""
 
 import ast
-import contextlib
 import os
 import subprocess
 import sys
 import textwrap
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -1207,6 +1207,32 @@ class TestBlasThreadScope:
             compute_mh(sphere, 5)
         assert pool_counts(blas_pools) == before
 
+    def test_concurrent_scopes_restore_counts_and_results(self, blas_pools):
+        # scopes in two Python threads once restored each other's counts:
+        # the pools stayed at one thread for the rest of the process, and
+        # a concurrent basis could differ from the serial one
+        big, small = grid_mesh(40, 40), grid_mesh(12, 12)
+        expected = [compute_mh(big, 30), compute_mh(small, 10)]
+
+        def repeat(mesh, k, times):
+            return [compute_mh(mesh, k) for _ in range(times)]
+
+        # exactly two threads, switching often between bytecodes
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                runs = [pool.submit(repeat, big, 30, 3),
+                        pool.submit(repeat, small, 10, 40)]
+                results = [run.result(timeout=120) for run in runs]
+        finally:
+            sys.setswitchinterval(interval)
+        assert pool_counts(blas_pools) == [2] * len(blas_pools)
+        for serial, concurrent in zip(expected, results):
+            for basis in concurrent:
+                assert np.array_equal(basis.spectrum, serial.spectrum)
+                assert np.array_equal(basis.functions, serial.functions)
+
     def test_no_op_without_control_symbols(self, blas_pools, monkeypatch):
         monkeypatch.setattr(solvers, "_blas_thread_controls", lambda: ())
         before = pool_counts(blas_pools)
@@ -1221,16 +1247,14 @@ class TestBlasThreadScope:
         W, A = assemble_stiffness(unit_square), assemble_mass(unit_square)
         Z = penalized(W, A, Region.binary(n, np.arange(40)))
         basis = tied_basis()
-        for scope in (contextlib.nullcontext, solvers._serial_blas):
-            with scope():
-                compute_lmh(tetra, None, 2, 0, solver="oracle")
-                hard_constraint_eig(Z, A, np.zeros((n, 0)), 4)
-                p2p = recover_p2p(np.eye(4), basis_x=basis, basis_y=basis)
-            assert p2p[3] == p2p[7] == 3
+        compute_lmh(tetra, None, 2, 0, solver="oracle")
+        hard_constraint_eig(Z, A, np.zeros((n, 0)), 4)
+        p2p = recover_p2p(np.eye(4), basis_x=basis, basis_y=basis)
+        assert p2p[3] == p2p[7] == 3
         # the two eigh keep the process count; p2p's two tie-breaks run
-        # at one thread inside and outside a serial scope
+        # at one thread
         twos, ones = [2] * len(blas_pools), [1] * len(blas_pools)
-        assert seen == [twos, twos, ones, ones] * 2
+        assert seen == [twos, twos, ones, ones]
 
     def test_cli_commands_run_serial_and_restore_counts(
         self, blas_pools, unit_square, tmp_path, monkeypatch
@@ -1239,20 +1263,20 @@ class TestBlasThreadScope:
         write_off(unit_square, mesh)
         seen = []
 
-        def failing_mh(*args, **kwargs):
+        def failing_eigsh(*args, **kwargs):
             raise NumericalError("did not converge")
 
         before = pool_counts(blas_pools)
         out = ["--out-dir", str(tmp_path)]
-        monkeypatch.setattr(cli, "compute_mh",
-                            recording(compute_mh, blas_pools, seen))
+        monkeypatch.setattr(solvers, "eigsh",
+                            recording(solvers.eigsh, blas_pools, seen))
         assert cli.run(["mh", "--mesh", str(mesh), "--k", "3", *out]) == 0
         assert pool_counts(blas_pools) == before
         assert cli.run(["mh", "--mesh", str(tmp_path / "none.off"), "--k", "3",
                         *out]) == 1
         assert pool_counts(blas_pools) == before
-        monkeypatch.setattr(cli, "compute_mh",
-                            recording(failing_mh, blas_pools, seen))
+        monkeypatch.setattr(solvers, "eigsh",
+                            recording(failing_eigsh, blas_pools, seen))
         assert cli.run(["mh", "--mesh", str(mesh), "--k", "3", *out]) == 2
         assert pool_counts(blas_pools) == before
         assert seen == [[1] * len(blas_pools)] * 2
@@ -1296,35 +1320,46 @@ class TestBlasThreadScope:
 
 
 def test_solvers_alone_owns_the_thread_exceptions():
-    """Only ``solvers`` touches the pool counts, and only its two dense
-    eigensolvers run at the process count."""
-    owned = {"_pools_at", "_blas_thread_controls", "_process_blas"}
+    """Only ``solvers`` touches the pool counts, the command line opens no
+    serial scope, and no serial scope names a dense eigensolver, so both
+    run at the process count."""
+    dense = {"hard_constraint_eig", "dense_oracle_eig"}
+
+    def named(node):
+        """Every name, attribute and imported name under ``node``."""
+        names = set()
+        for child in ast.walk(node):
+            if isinstance(child, ast.Name):
+                names.add(child.id)
+            elif isinstance(child, ast.Attribute):
+                names.add(child.attr)
+            elif isinstance(child, ast.alias):
+                names.add(child.name.rsplit(".", 1)[-1])
+        return names
+
+    def serial(expr):
+        return (isinstance(expr, ast.Call) and isinstance(expr.func, ast.Name)
+                and expr.func.id == "_serial_blas")
+
     root = Path(solvers.__file__).resolve().parent
+    scopes = []
     for path in sorted(root.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        names = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-            elif isinstance(node, (ast.Import, ast.ImportFrom)):
-                names.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
         if path.name != "solvers.py":
-            assert not names & owned, f"{path.name} uses {sorted(names & owned)}"
-            continue
-        decorated = [
-            node.name for node in ast.walk(tree)
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            for dec in node.decorator_list
-            if isinstance(dec, ast.Call) and isinstance(dec.func, ast.Name)
-            and dec.func.id == "_process_blas"
-        ]
-        uses = [node for node in ast.walk(tree)
-                if isinstance(node, ast.Name) and node.id == "_process_blas"]
-        assert sorted(decorated) == ["dense_oracle_eig", "hard_constraint_eig"]
-        # and no other use, such as a ``with`` block
-        assert len(uses) == len(decorated)
+            assert "_blas_thread_controls" not in named(tree), path.name
+        if path.name == "cli.py":
+            assert "_serial_blas" not in named(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                openers = node.decorator_list
+            elif isinstance(node, ast.With):
+                openers = [item.context_expr for item in node.items]
+            else:
+                continue
+            if any(serial(expr) for expr in openers):
+                scopes.append(node)
+                assert not named(node) & dense, f"{path.name}:{node.lineno}"
+    assert scopes
 
 
 def test_compute_lmh_alone_names_the_dense_oracle():

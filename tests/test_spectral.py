@@ -166,6 +166,14 @@ class TestReconstructSurface:
         with pytest.warns(UserWarning, match="orthogonal"):
             reconstruct_surface(plane, [mh, pmh], A=A)
 
+    def test_overlap_warning_points_at_the_caller(self, plane, plane_patch):
+        # the serial-BLAS decorator adds a frame between the two
+        A = assemble_mass(plane)
+        bases = [compute_mh(plane, 10, A=A), compute_pmh(plane, plane_patch, k=10)]
+        with pytest.warns(UserWarning, match="orthogonal") as record:
+            reconstruct_surface(plane, bases, A=A)
+        assert record[0].filename == __file__
+
     def test_input_validation(self, unit_square, sphere):
         basis = compute_mh(sphere, 4)
         with pytest.raises(ValueError):
