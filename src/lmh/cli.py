@@ -212,6 +212,8 @@ def cmd_region(args):
         raise CliError("one of --seeds or --box is required")
     if args.threshold is not None:
         region = Region((region.u >= args.threshold).astype(np.float64))
+        if not region.u.any():
+            raise CliError(f"--threshold {args.threshold:g} selects no vertices")
     path = _out_path(args, "region.txt")
     lmhio.save_region(region, path)
     _emit(
@@ -273,6 +275,8 @@ def cmd_weyl(args):
             "the growth-rate fit needs a binary region (its area enters "
             "the normalized slope); threshold the region first"
         )
+    if not region.u.any():
+        raise CliError("the region is empty: it has no area for the normalized slope")
     basis = compute_lmh(
         mesh,
         region,

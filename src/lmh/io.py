@@ -44,7 +44,11 @@ def _load_matrix(path, what, expected):
         if len(header) != 2:
             raise ValueError(f"{path}: malformed {what} header (expected '{expected}')")
         r, c = int(header[0]), int(header[1])
-        M = np.loadtxt(fh, dtype=np.float64, ndmin=2)
+        # np.loadtxt warns on a body without rows; the shape check names it
+        body = fh.tell()
+        rows = any(line.split("#", 1)[0].strip() for line in iter(fh.readline, ""))
+        fh.seek(body)
+        M = np.loadtxt(fh, dtype=np.float64, ndmin=2) if rows else np.empty((0, 0))
     if M.shape != (r, c):
         raise ValueError(f"{path}: header promises {r}x{c}, file holds {M.shape}")
     return M

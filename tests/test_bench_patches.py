@@ -30,3 +30,31 @@ def test_every_patch_target_resolves():
         if attr not in owner.__dict__:
             missing.append(f"{module}.{path}")
     assert not missing, f"spans.py patches names the program does not define: {missing}"
+
+
+def test_traced_lu_counts_every_lu_solve(monkeypatch):
+    # the tracer's SuperLU wrapper must count each vector and block
+    # solve once
+    from lmh import solvers
+    from lmh.localized import Region, compute_lmh
+    from lmh.synth import grid_mesh, patch_vertices
+
+    spans = load_spans()
+    solved = []
+    real_solve = solvers._PermutedLU.solve
+
+    def counting_solve(self, rhs):
+        solved.append(rhs.ndim)
+        return real_solve(self, rhs)
+
+    monkeypatch.setattr(solvers._PermutedLU, "solve", counting_solve)
+    mesh = grid_mesh(12, 12)
+    region = Region.binary(
+        mesh.n_vertices, patch_vertices(mesh, (0.25, 0.75), (0.25, 0.75))
+    )
+    tracer = spans.Tracer()
+    with spans.instrument(tracer):
+        compute_lmh(mesh, region, 6, 4)
+    metrics = spans.layer_metrics(tracer.spans, 1)
+    assert set(solved) == {1, 2}
+    assert metrics["solvers.lu_solve_calls"] == len(solved)

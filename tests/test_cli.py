@@ -704,6 +704,38 @@ class TestExitCodes:
                         str(region), "--k", "3", "--out-dir", str(tmp_path)]) == 1
         assert "error: membership u is empty" in capsys.readouterr().err
 
+    def test_threshold_that_keeps_no_vertex(self, capsys, mesh_file, tmp_path):
+        # once exit 0 with an all-zero region file and "u_sum": 0.0
+        assert cli.run(["region", "--mesh", str(mesh_file), "--seeds", "60",
+                        "--threshold", "2", "--out-dir", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == "error: --threshold 2 selects no vertices\n"
+        assert not (tmp_path / "region.txt").exists()
+
+    def test_weyl_on_an_empty_region(self, capsys, monkeypatch, mesh_file,
+                                      tmp_path):
+        # once exit 0 with "region_area": 0.0 and "normalized_slope": 0.0
+        region = tmp_path / "empty.txt"
+        lmhio.save_region(np.zeros(121), region)
+        solves = []
+        monkeypatch.setattr(cli, "compute_lmh", lambda *a, **kw: solves.append(a))
+        assert cli.run(["weyl", "--mesh", str(mesh_file), "--region",
+                        str(region), "--k", "12", "--kprime", "4"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: the region is empty: it has no area for the normalized slope\n"
+        )
+        assert captured.out == "" and solves == []
+
+    def test_basis_file_without_rows(self, capsys, mesh_file, tmp_path):
+        # np.loadtxt once warned "input contained no data" before the error
+        basis = tmp_path / "b0.txt"
+        basis.write_text("121 0\n")
+        assert cli.run(["reconstruct", "--mesh", str(mesh_file), "--basis",
+                        str(basis), "--out-dir", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {basis}: header promises 121x0, file holds (0, 0)\n"
+        )
+
     def test_empty_maps_in_error_curve(self, capsys, mesh_file, tmp_path):
         # once exit 0 with "mean_error": NaN, which is not JSON
         empty = tmp_path / "empty.txt"

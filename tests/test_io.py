@@ -50,6 +50,20 @@ class TestBasisFile:
         with pytest.raises(ValueError, match="promises"):
             lmhio.load_basis(path)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("body", ["", "\n# no rows\n"], ids=["empty", "comment"])
+    def test_header_without_rows_raises_without_a_warning(self, tmp_path, body):
+        path = tmp_path / "b.txt"
+        path.write_text("121 0\n" + body)
+        with pytest.raises(ValueError, match="header promises 121x0"):
+            lmhio.load_basis(path)
+
+    def test_rows_after_blank_lines_and_comments(self, tmp_path):
+        path = tmp_path / "b.txt"
+        path.write_text("2 2\n\n# first row\n1 2\n3 4\n")
+        np.testing.assert_array_equal(lmhio.load_basis(path).functions,
+                                      [[1.0, 2.0], [3.0, 4.0]])
+
 
 class TestP2pFile:
     def test_round_trip(self, tmp_path):
