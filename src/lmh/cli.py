@@ -330,6 +330,8 @@ def cmd_reconstruct(args):
 
 
 def cmd_fmap(args):
+    if (args.kprime is None) != (args.k is None):
+        raise CliError("--kprime and --k go together: give both or neither")
     basis_x = lmhio.load_basis(args.basis_x)
     basis_y = lmhio.load_basis(args.basis_y)
     mesh_y = read_mesh(args.mesh_y)
@@ -346,7 +348,7 @@ def cmd_fmap(args):
         "frobenius": float(np.linalg.norm(fm.C)),
         "cmatrix_file": str(path),
     }
-    if args.kprime is not None and args.k is not None:
+    if args.k is not None:
         summary["offblock_energy"] = float(offblock_energy(fm, args.kprime, args.k))
     _emit(args, summary)
     return 0
@@ -396,6 +398,8 @@ def cmd_error_curve(args):
 
 def cmd_bench(args):
     paths = [p.strip() for p in args.paths.split(",") if p.strip()]
+    if not paths:
+        raise CliError(f"--paths {args.paths!r} names no solver path")
     for p in paths:
         if p not in SOLVERS:
             raise CliError(f"unknown solver path '{p}'")

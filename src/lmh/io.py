@@ -1,10 +1,10 @@
 """Deterministic text formats for regions, bases, maps and curves.
 
-Every float writer goes through ``np.savetxt``, which owns the byte
-format: floats are written with ``%.17g`` (17 significant digits, which
-round-trips float64 exactly, so identical runs produce byte-identical
-files), one row per line. The integer writer ``save_p2p`` writes the
-same ``%d`` lines from Python integers.
+Every float writer goes through ``_savetxt``, whose one ``np.savetxt``
+call owns the byte format: floats are written with ``%.17g`` (17
+significant digits, which round-trips float64 exactly, so identical
+runs produce byte-identical files), one row per line. The integer
+writer ``save_p2p`` writes the same ``%d`` lines from Python integers.
 """
 
 from __future__ import annotations
@@ -13,13 +13,11 @@ import numpy as np
 
 from .localized import Region, SpectralBasis
 
-_FLOAT = "%.17g"
 
-
-def _savetxt(path, X, fmt=_FLOAT, **kwargs):
+def _savetxt(path, X, **kwargs):
     # np.savetxt on an open handle: a name ending in .gz stays plain text
     with open(path, "w", encoding="utf-8") as fh:
-        np.savetxt(fh, X, fmt=fmt, **kwargs)
+        np.savetxt(fh, X, fmt="%.17g", **kwargs)
 
 
 def save_region(region, path):

@@ -512,7 +512,7 @@ class GapReport:
 
 
 def verify_spectral_gap(
-    mesh, region, kprime, mu_r=DEFAULT_MU_R, mu_perp=None, seed=0, W=None, A=None
+    mesh, region, kprime, mu_r=DEFAULT_MU_R, mu_perp=None, seed=0
 ):
     """Check ``lam_1(Q) >= lam_k'(W)`` for a sufficiently large mu_perp.
 
@@ -537,7 +537,7 @@ def verify_spectral_gap(
     """
     if kprime < 1:
         raise ValueError("kprime must be at least 1")
-    W, A = _operators(mesh, W, A)
+    W, A = assemble_stiffness(mesh), assemble_mass(mesh)
     phi, spectrum, mu_perp = _global_prelude(mesh, kprime, mu_perp, seed, W, A)
     lam_kp, lam_next = float(spectrum[kprime - 1]), float(spectrum[kprime])
     system, _ = build_lmh_operator(W, A, region, phi, mu_r, mu_perp)
@@ -601,8 +601,7 @@ def restrict_pencil(W, A, region):
 
 
 def verify_upper_bound(
-    mesh, region, kprime, k, mu_r=1e4, mu_perp=None, seed=0, tolerance=1e-3,
-    W=None, A=None,
+    mesh, region, kprime, k, mu_r=1e4, mu_perp=None, seed=0, tolerance=1e-3
 ):
     """Check the localized spectrum against the restricted operator.
 
@@ -627,14 +626,12 @@ def verify_upper_bound(
     tolerance : float
         Relative slack on the right-hand side, absorbing solver error
         (a small absolute floor covers eigenvalues at zero).
-    W, A : sparse arrays, optional
-        Reuse preassembled operators.
 
     Returns
     -------
     BoundReport
     """
-    W, A = _operators(mesh, W, A)
+    W, A = assemble_stiffness(mesh), assemble_mass(mesh)
     W_rr, A_rr, idx = restrict_pencil(W, A, region)
     sub_k = k + kprime
     if sub_k > idx.size:

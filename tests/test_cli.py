@@ -747,6 +747,32 @@ class TestExitCodes:
         assert "error: recovered and truth maps are empty" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("pair", [["--kprime", "5"], ["--k", "3"]],
+                             ids=["kprime-only", "k-only"])
+    def test_fmap_with_half_of_the_offblock_pair(self, capsys, mesh_file,
+                                                  tmp_path, pair):
+        # once exit 0 with offblock_energy silently left out
+        basis = tmp_path / "b.txt"
+        lmhio.save_cmatrix(np.eye(121, 8), basis)
+        p2p = tmp_path / "p2p.txt"
+        lmhio.save_p2p(np.arange(121), p2p)
+        assert cli.run(["fmap", "--basis-x", str(basis), "--basis-y",
+                        str(basis), "--mesh-y", str(mesh_file), "--p2p",
+                        str(p2p), *pair, "--out-dir", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: --kprime and --k go together: give both or neither\n"
+        )
+        assert captured.out == "" and not (tmp_path / "cmatrix.txt").exists()
+
+    def test_bench_with_no_solver_path(self, capsys, mesh_file, tmp_path):
+        # once exit 0 with a header-only bench.csv
+        assert cli.run(["bench", "--mesh", str(mesh_file), "--paths", ",",
+                        "--out-dir", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: --paths ',' names no solver path\n"
+        assert captured.out == "" and not (tmp_path / "bench.csv").exists()
+
     def test_help_exits_0(self, capsys):
         assert cli.run(["--help"]) == 0
         assert cli.run(["lmh", "--help"]) == 0

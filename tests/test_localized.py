@@ -613,18 +613,16 @@ class TestVerifySpectralGap:
         assert texts[0] == texts[1]
         assert texts[0].endswith("the gap bound assumes it does")
 
-    def test_passes_on_plane_patch(self, plane, plane_patch, plane_ops):
-        W, A = plane_ops
-        report = verify_spectral_gap(plane, plane_patch, kprime=20, W=W, A=A)
+    def test_passes_on_plane_patch(self, plane, plane_patch):
+        report = verify_spectral_gap(plane, plane_patch, kprime=20)
         assert report.passed
         assert report.gap >= report.threshold
         assert report.lam1_Q >= report.lam_kprime_W - 1e-9
 
-    def test_zero_penalty_control_hits_next_eigenvalue(self, plane, plane_ops):
+    def test_zero_penalty_control_hits_next_eigenvalue(self, plane):
         # v = 0 keeps Q = W + mu_perp A P, whose smallest eigenvalue
         # outside the band is exactly lam_{k'+1}
-        W, A = plane_ops
-        report = verify_spectral_gap(plane, None, kprime=12, W=W, A=A)
+        report = verify_spectral_gap(plane, None, kprime=12)
         assert report.passed
         assert abs(report.lam1_Q - report.lam_next_W) <= 1e-6 * abs(
             report.lam_next_W
@@ -637,9 +635,7 @@ class TestVerifySpectralGap:
         for kprime in (1, 4, 9):
             seeds = rng.choice(unit_square.n_vertices, 2, replace=False)
             region = soft_region_from_seeds(unit_square, seeds, variance=0.03)
-            report = verify_spectral_gap(
-                unit_square, region, kprime=kprime, W=W, A=A
-            )
+            report = verify_spectral_gap(unit_square, region, kprime=kprime)
             assert report.passed
             phi = compute_mh(unit_square, kprime, W=W, A=A).functions
             B = a[:, None] * phi
@@ -748,20 +744,21 @@ class TestVerifyUpperBound:
         with pytest.raises(ValueError, match="vertices"):
             verify_upper_bound(unit_square, region, kprime=5, k=10)
 
-    def test_reuses_prebuilt_operators(self, plane, plane_patch, plane_ops,
-                                       monkeypatch):
-        W, A = plane_ops
-        expect = verify_upper_bound(plane, plane_patch, kprime=0, k=8, mu_r=1e4)
+    def test_assembles_each_operator_once(self, plane, plane_patch,
+                                          monkeypatch):
+        # the localized solve and the restriction share one (W, A)
+        calls = []
 
-        def no_assembly(mesh):
-            raise AssertionError("operators were assembled again")
+        def counting(real):
+            def assemble(mesh):
+                calls.append(real.__name__)
+                return real(mesh)
+            return assemble
 
-        monkeypatch.setattr(localized, "assemble_stiffness", no_assembly)
-        monkeypatch.setattr(localized, "assemble_mass", no_assembly)
-        report = verify_upper_bound(plane, plane_patch, kprime=0, k=8,
-                                    mu_r=1e4, W=W, A=A)
-        assert report.lmh_spectrum.tobytes() == expect.lmh_spectrum.tobytes()
-        assert report.submesh_spectrum.tobytes() == expect.submesh_spectrum.tobytes()
+        for name in ("assemble_stiffness", "assemble_mass"):
+            monkeypatch.setattr(localized, name, counting(getattr(localized, name)))
+        verify_upper_bound(plane, plane_patch, kprime=0, k=8, mu_r=1e4)
+        assert sorted(calls) == ["assemble_mass", "assemble_stiffness"]
 
 
 class TestWeylSlope:

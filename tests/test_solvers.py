@@ -569,6 +569,23 @@ class TestSmallestEigenpairs:
         assert basis.spectrum.shape == (4,)
         assert abs(basis.spectrum[0]) <= 1e-8
 
+    @pytest.mark.xfail(strict=True, raises=NumericalError, reason=(
+        "at a large mu_perp the residual check rejects copies of a repeated "
+        "eigenvalue whose residual lies in span(B), on some seeds"
+    ))
+    def test_large_mu_perp_passes_the_residual_check(self):
+        # a sweep, so that a roundoff change that moves the failing seeds
+        # (2, 3, 11, 13, 16 at 1e7 and 0 at 1e8 when written) keeps it
+        # failing; at 1e6 no seed of 0-31 raised
+        mesh = grid_mesh(10, 10)
+        region = Region.binary(
+            mesh.n_vertices, patch_vertices(mesh, (0.25, 0.75), (0.25, 0.75))
+        )
+        for mu_perp in (1e7, 1e8):
+            for seed in range(32):
+                compute_lmh(mesh, region, 10, 20, mu_r=100.0, mu_perp=mu_perp,
+                            seed=seed)
+
 
 def jittered_grid(seed=3):
     """A 15x15-vertex grid with interior vertices moved, so A is not uniform."""
@@ -865,15 +882,23 @@ class TestThickRestartLanczos:
 
     @pytest.mark.xfail(strict=True, reason=(
         "single-vector Lanczos misses a copy of a repeated eigenvalue and "
-        "returns the next eigenvalue as the last pair"
+        "returns the next eigenvalue as the last pair, on some seeds"
     ))
-    @pytest.mark.parametrize("subdivisions, k, seed", [(2, 30, 0), (3, 21, 14)])
-    def test_every_copy_on_an_icosphere(self, subdivisions, k, seed):
+    @pytest.mark.parametrize("subdivisions, k, seeds", [(2, 30, 10), (3, 21, 60)],
+                             ids=["icosphere2-k30-seeds0-9",
+                                  "icosphere3-k21-seeds0-59"])
+    def test_every_copy_on_an_icosphere(self, subdivisions, k, seeds):
+        # a sweep, so that a roundoff change that moves the failing seeds
+        # (0, 2, 5, 6, 7 and 14, 46, 55 when written) keeps it failing
         mesh = icosphere(subdivisions)
         W, A = assemble_stiffness(mesh), assemble_mass(mesh)
         lam, _ = dense_pencil_eig(W.toarray(), mass_diagonal(A))
-        basis = compute_mh(mesh, k, seed=seed, W=W, A=A)
-        np.testing.assert_allclose(basis.spectrum, lam[:k], rtol=1e-9, atol=1e-9)
+        missed = [
+            seed for seed in range(seeds)
+            if not np.allclose(compute_mh(mesh, k, seed=seed, W=W, A=A).spectrum,
+                               lam[:k], rtol=1e-9, atol=1e-9)
+        ]
+        assert missed == []
 
     def test_one_eigsh_span_holds_every_shifted_solve(self, sphere):
         spans = load_spans()
