@@ -5,6 +5,9 @@ call owns the byte format: floats are written with ``%.17g`` (17
 significant digits, which round-trips float64 exactly, so identical
 runs produce byte-identical files), one row per line. The integer
 writer ``save_p2p`` writes the same ``%d`` lines from Python integers.
+Every reader goes through ``lmh.mesh._read_rows``, the one numeric text
+reader: a malformed file fails with its name, and a bad row with its
+1-based line too.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .localized import Region, SpectralBasis
+from .mesh import _read_rows
 
 
 def _savetxt(path, X, **kwargs):
@@ -26,9 +30,18 @@ def save_region(region, path):
     _savetxt(path, u)
 
 
+def _load_column(path, dtype):
+    """The values of a file that holds one per line, as a flat array."""
+    with open(path, "r", encoding="utf-8") as fh:
+        rows = _read_rows(fh, path, dtype, None, 1)
+    if rows.shape[1] != 1:
+        count = rows.shape[1] or "no"
+        raise ValueError(f"{path}: {count} values per line; expected one")
+    return rows[:, 0]
+
+
 def load_region(path):
-    u = np.loadtxt(path, dtype=np.float64, ndmin=1)
-    return Region(u)
+    return Region(_load_column(path, np.float64))
 
 
 def _save_matrix(M, path):
@@ -38,15 +51,11 @@ def _save_matrix(M, path):
 def _load_matrix(path, what, expected):
     """Read a matrix behind a two-number shape header, checking both."""
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
+        try:
+            r, c = map(int, fh.readline().split())
+        except ValueError:
             raise ValueError(f"{path}: malformed {what} header (expected '{expected}')")
-        r, c = int(header[0]), int(header[1])
-        # np.loadtxt warns on a body without rows; the shape check names it
-        body = fh.tell()
-        rows = any(line.split("#", 1)[0].strip() for line in iter(fh.readline, ""))
-        fh.seek(body)
-        M = np.loadtxt(fh, dtype=np.float64, ndmin=2) if rows else np.empty((0, 0))
+        M = _read_rows(fh, path, np.float64, None, 2)
     if M.shape != (r, c):
         raise ValueError(f"{path}: header promises {r}x{c}, file holds {M.shape}")
     return M
@@ -83,7 +92,7 @@ def save_p2p(p2p, path):
 
 
 def load_p2p(path):
-    return np.loadtxt(path, dtype=np.int64, ndmin=1)
+    return _load_column(path, np.int64)
 
 
 def save_cmatrix(C, path):

@@ -1,8 +1,11 @@
-"""Triangle mesh container, OFF/OBJ parsing and graph-geodesic utilities."""
+"""Triangle mesh container, OFF/OBJ parsing and graph-geodesic utilities.
+
+``_read_rows`` is the one numeric text reader, for OFF and ``lmh.io``."""
 
 from __future__ import annotations
 
 import functools
+import re
 
 import numpy as np
 from scipy import sparse
@@ -132,9 +135,10 @@ def load_mesh(content, fmt):
         Raw file content.
     fmt : {"off", "obj"}
         Input format, in any case. OFF files carry explicit vertex/face
-        counts; OBJ files are parsed from ``v``/``f`` records with all
-        other record types skipped (normals, texture coordinates,
-        materials).
+        counts, on the ``OFF`` line or the next; OBJ files are parsed
+        from ``v``/``f`` records with all other record types skipped
+        (normals, texture coordinates, materials). Both skip ``#``
+        comments and blank lines.
 
     Returns
     -------
@@ -161,58 +165,85 @@ def read_mesh(path):
         return load_mesh(fh.read(), suffix)
 
 
+def _content(line):
+    # a line without its "#" comment and surrounding whitespace
+    return line.split("#", 1)[0].strip()
+
+
 def _content_lines(text):
-    # strip comments and blank lines once, keeping token lists
-    out = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            out.append(line.split())
-    return out
+    """The lines of ``text`` that hold more than a comment, without it."""
+    # one regex pass costs a third of stripping each line in Python, and
+    # copies nothing when the text holds no comment
+    return list(filter(str.strip, re.sub("#.*", "", text).splitlines()))
 
 
-def _off_arrays_bulk(text):
-    """Vertex and face arrays of a plain OFF file, or None.
+class _RowError(ValueError):
+    """A line ``_read_rows`` cannot read; ``text`` is its content."""
 
-    Parses the common shape with one ``np.loadtxt`` call per block: an
-    ``OFF`` line, a count line, then exactly three coordinates on each
-    vertex line and ``3 i j k`` on each face line, with no comments.
-    Anything else returns None and goes through the token parser, which
-    names the problem.
+    def __init__(self, message, text):
+        super().__init__(message)
+        self.text = text
+
+
+def _read_rows(source, where, dtype, usecols, first):
+    """Rows of numbers as a ``(rows, columns)`` array, through the
+    package's one ``np.loadtxt`` call.
+
+    ``source`` is a list of content lines or an open text file, read
+    from where it stands; its i-th line is line ``first + i`` of
+    ``where`` (a file name or block kind). Comments and blank lines are
+    skipped. ``usecols`` picks columns, so a row may hold more, or is
+    None: each row then holds as many as the first. No rows give a
+    ``(0, 0)`` array, so numpy never warns. A bad line raises
+    ``_RowError`` naming ``where`` and the line's number.
     """
-    if "#" in text:
-        return None
-    lines = text.splitlines()
+    read = functools.partial(np.loadtxt, dtype=dtype, usecols=usecols, ndmin=2)
+    lines = source
+    if not isinstance(source, list):
+        # the file stays on its handle, which loadtxt reads in chunks:
+        # peek for a row (loadtxt warns on none), then go back
+        start = source.tell()
+        lines = iter(source.readline, "")
+    if not any(map(_content, lines)):
+        return np.empty((0, 0), dtype=dtype)
+    if lines is not source:
+        source.seek(start)
     try:
-        if lines[0].split() != ["OFF"]:
-            return None
-        counts = lines[1].split()
-        nv, nf = int(counts[0]), int(counts[1])
-    except (IndexError, ValueError):
-        return None
-    # loadtxt warns on a block without data; such files, and short ones,
-    # are left to the token parser
-    if (nv < 1 or nf < 1 or len(lines) < 2 + nv + nf
-            or not (lines[2].strip() and lines[2 + nv].strip())):
-        return None
-    try:
-        vertices = np.loadtxt(lines[2 : 2 + nv], dtype=np.float64, ndmin=2)
-        faces = np.loadtxt(lines[2 + nv : 2 + nv + nf], dtype=np.int64, ndmin=2)
+        return read(source)
     except (ValueError, OverflowError):
-        return None
-    if vertices.shape != (nv, 3) or faces.shape != (nf, 4) or np.any(faces[:, 0] != 3):
-        return None
-    return vertices, np.ascontiguousarray(faces[:, 1:])
+        if lines is not source:
+            source.seek(start)
+            lines = source.readlines()
+        # numpy's row numbers skip comments and blank lines: pair each
+        # row with the first to find and name the bad line
+        rows = [(n, t) for n, t in enumerate(map(_content, lines), first) if t]
+        noun = "integers" if np.issubdtype(dtype, np.integer) else "numbers"
+        for number, text in rows:
+            try:
+                read([rows[0][1], text])
+            except (ValueError, OverflowError):
+                raise _RowError(f"{where}, line {number}: cannot read {text!r} as "
+                                f"a row of {noun}", text) from None
+        raise
+
+
+def _off_face_error(text):
+    """The message for an OFF face line that is not ``3 i j k``."""
+    tokens = text.split()
+    try:
+        count = int(tokens[0])
+    except ValueError:
+        return "OFF: malformed face line"
+    if count != 3:
+        return f"OFF: face with {count} vertices; only triangles supported"
+    return "OFF: truncated face line" if len(tokens) < 4 else "OFF: malformed face line"
 
 
 def _parse_off(text):
-    arrays = _off_arrays_bulk(text)
-    if arrays is not None:
-        return TriMesh(*arrays)
     lines = _content_lines(text)
     if not lines:
         raise MeshError("OFF: empty file")
-    head = lines[0]
+    head = lines[0].split()
     if head[0].upper() != "OFF":
         raise MeshError("OFF: missing OFF header")
     if len(head) == 4:
@@ -221,39 +252,35 @@ def _parse_off(text):
     else:
         if len(lines) < 2:
             raise MeshError("OFF: missing count line")
-        counts = lines[1]
+        counts = lines[1].split()
         body = lines[2:]
     try:
         nv, nf = int(counts[0]), int(counts[1])
     except (ValueError, IndexError) as exc:
         raise MeshError("OFF: malformed count line") from exc
-    if len(body) < nv + nf:
+    if min(nv, nf) < 0 or len(body) < nv + nf:
         raise MeshError(
             f"OFF: expected {nv} vertex and {nf} face lines, got {len(body)}"
         )
     try:
-        vertices = np.array([[float(t) for t in body[i][:3]] for i in range(nv)])
-    except ValueError as exc:
+        vertices = _read_rows(body[:nv], "OFF vertex block", np.float64, (0, 1, 2), 1)
+    except _RowError as exc:
         raise MeshError("OFF: malformed vertex line") from exc
-    faces = []
-    for i in range(nv, nv + nf):
-        tokens = body[i]
-        try:
-            cnt = int(tokens[0])
-        except ValueError as exc:
-            raise MeshError("OFF: malformed face line") from exc
-        if cnt != 3:
-            raise MeshError(f"OFF: face with {cnt} vertices; only triangles supported")
-        if len(tokens) < 4:
-            raise MeshError("OFF: truncated face line")
-        faces.append([int(tokens[1]), int(tokens[2]), int(tokens[3])])
-    return TriMesh(vertices, np.array(faces, dtype=np.int64))
+    try:
+        faces = _read_rows(body[nv : nv + nf], "OFF face block", np.int64,
+                           (0, 1, 2, 3), 1)
+    except _RowError as exc:
+        raise MeshError(_off_face_error(exc.text)) from exc
+    bad = np.flatnonzero(faces[:, 0] != 3) if faces.size else []
+    if len(bad):
+        raise MeshError(_off_face_error(body[nv + bad[0]]))
+    return TriMesh(vertices, np.ascontiguousarray(faces[:, 1:]))
 
 
 def _parse_obj(text):
     vertices = []
     faces = []
-    for tokens in _content_lines(text):
+    for tokens in map(str.split, _content_lines(text)):
         if tokens[0] == "v":
             if len(tokens) < 4:
                 raise MeshError("OBJ: vertex record with fewer than 3 coordinates")

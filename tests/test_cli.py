@@ -702,7 +702,9 @@ class TestExitCodes:
         region.write_text("")
         assert cli.run([command, "--mesh", str(mesh_file), "--region",
                         str(region), "--k", "3", "--out-dir", str(tmp_path)]) == 1
-        assert "error: membership u is empty" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: {region}: no values per line; expected one\n"
+        )
 
     def test_threshold_that_keeps_no_vertex(self, capsys, mesh_file, tmp_path):
         # once exit 0 with an all-zero region file and "u_sum": 0.0
@@ -744,8 +746,72 @@ class TestExitCodes:
                         str(empty), "--truth", str(empty),
                         "--out-dir", str(tmp_path)]) == 1
         captured = capsys.readouterr()
-        assert "error: recovered and truth maps are empty" in captured.err
+        assert captured.err == f"error: {empty}: no values per line; expected one\n"
         assert captured.out == ""
+
+    @pytest.mark.parametrize("flag", ["--region", "--p2p", "--truth"])
+    def test_comment_only_input_file(self, capsys, mesh_file, tmp_path, flag):
+        # np.loadtxt once printed "warning: loadtxt: input contained no
+        # data" before an error that did not name the file
+        empty = tmp_path / "empty.txt"
+        empty.write_text("# nothing here\n\n")
+        good = tmp_path / "good.txt"
+        lmhio.save_p2p(np.arange(121), good)
+        if flag == "--region":
+            argv = ["lmh", "--mesh", str(mesh_file), "--region", str(empty),
+                    "--k", "3"]
+        else:
+            maps = {"--p2p": good, "--truth": good, flag: empty}
+            argv = ["error-curve", "--mesh", str(mesh_file),
+                    *(str(x) for pair in maps.items() for x in pair)]
+        assert cli.run([*argv, "--out-dir", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {empty}: no values per line; expected one\n"
+        assert captured.out == ""
+
+    def test_map_file_with_two_indices_per_line(self, capsys, mesh_file,
+                                                tmp_path):
+        # error-curve once exited 0 with "n": 2 and "mean_error": 0.0, and
+        # fmap failed in build_fmap's shape check
+        maps = tmp_path / "m.txt"
+        maps.write_text("0 1\n2 3\n")
+        basis = tmp_path / "b.txt"
+        lmhio.save_cmatrix(np.eye(121, 8), basis)
+        message = f"error: {maps}: 2 values per line; expected one\n"
+        assert cli.run(["error-curve", "--mesh", str(mesh_file), "--p2p",
+                        str(maps), "--truth", str(maps),
+                        "--out-dir", str(tmp_path)]) == 1
+        assert capsys.readouterr() == ("", message)
+        assert cli.run(["fmap", "--basis-x", str(basis), "--basis-y",
+                        str(basis), "--mesh-y", str(mesh_file), "--p2p",
+                        str(maps), "--out-dir", str(tmp_path)]) == 1
+        assert capsys.readouterr() == ("", message)
+
+    @pytest.mark.parametrize("command, text, message", [
+        ("lmh", "# u\n\nabc\n", "line 3: cannot read 'abc' as a row of numbers"),
+        ("error-curve", "0\n1.5  # half\n",
+         "line 2: cannot read '1.5' as a row of integers"),
+        ("p2p", "2 2\n1 2\n\n1 x\n", "line 4: cannot read '1 x' as a row of numbers"),
+        ("error-curve", "0\n\n1 2\n",
+         "line 3: cannot read '1 2' as a row of integers"),
+    ], ids=["region", "map", "cmatrix", "ragged-map"])
+    def test_parse_error_names_file_and_line(self, capsys, mesh_file, tmp_path,
+                                             command, text, message):
+        # numpy once reported "could not convert string 'abc' to float64
+        # at row 1, column 1.": a row count without the file or its line
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text)
+        good = tmp_path / "good.txt"
+        lmhio.save_p2p(np.arange(121), good)
+        argv = {
+            "lmh": ["--mesh", str(mesh_file), "--region", str(bad), "--k", "3"],
+            "error-curve": ["--mesh", str(mesh_file), "--p2p", str(bad),
+                            "--truth", str(good)],
+            "p2p": ["--cmatrix", str(bad), "--basis-x", str(good),
+                    "--basis-y", str(good)],
+        }[command]
+        assert cli.run([command, *argv, "--out-dir", str(tmp_path)]) == 1
+        assert capsys.readouterr() == ("", f"error: {bad}, {message}\n")
 
     @pytest.mark.parametrize("pair", [["--kprime", "5"], ["--k", "3"]],
                              ids=["kprime-only", "k-only"])

@@ -1,5 +1,7 @@
 """Text formats: exact round trips and malformed-file rejection."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,6 +29,23 @@ class TestRegionFile:
         with pytest.raises(ValueError):
             lmhio.load_region(path)
 
+    def test_comments_and_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "r.txt"
+        path.write_text("# membership\n0.5\n\n1  # inside\r\n0\n")
+        np.testing.assert_array_equal(lmhio.load_region(path).u, [0.5, 1.0, 0.0])
+
+    @pytest.mark.parametrize("text, match", [
+        ("", "no values per line; expected one"),
+        ("# only a comment\n\n", "no values per line; expected one"),
+        ("0.5 0.5\n1 1\n", "2 values per line; expected one"),
+        ("0.5\n\nnan?\n", "line 3: cannot read 'nan\\?' as a row of numbers"),
+    ], ids=["empty", "comment-only", "two-columns", "bad-value"])
+    def test_malformed_files_name_the_file(self, tmp_path, text, match):
+        path = tmp_path / "r.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}(: |, ){match}"):
+            lmhio.load_region(path)
+
 
 class TestBasisFile:
     def test_round_trip_exact(self, tmp_path, unit_square):
@@ -42,6 +61,15 @@ class TestBasisFile:
         path = tmp_path / "b.txt"
         path.write_text("3\n1 2 3\n")
         with pytest.raises(ValueError, match="header"):
+            lmhio.load_basis(path)
+
+    @pytest.mark.parametrize("header", ["", "a b", "2 2 2", "# 2 2"])
+    def test_header_that_is_not_two_integers(self, tmp_path, header):
+        # "a b" once raised int()'s "invalid literal" without the file
+        path = tmp_path / "b.txt"
+        path.write_text(header + "\n1 2\n3 4\n")
+        message = f"{path}: malformed basis header (expected 'n m')"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             lmhio.load_basis(path)
 
     def test_rejects_shape_mismatch(self, tmp_path):
@@ -79,6 +107,17 @@ class TestP2pFile:
         lmhio.save_p2p(np.array([3]), path)
         back = lmhio.load_p2p(path)
         assert back.shape == (1,)
+
+    @pytest.mark.parametrize("text, match", [
+        ("0 1\n2 3\n", "2 values per line; expected one"),
+        ("4\n1.5\n", "line 2: cannot read '1.5' as a row of integers"),
+        ("4\n99999999999999999999\n", "line 2: cannot read '9+' as a row of integers"),
+    ], ids=["two-columns", "fraction", "overflow"])
+    def test_one_integer_per_line(self, tmp_path, text, match):
+        path = tmp_path / "p.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}(: |, ){match}"):
+            lmhio.load_p2p(path)
 
 
 class TestCmatrixFile:

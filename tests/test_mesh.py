@@ -127,18 +127,30 @@ class TestLoadMesh:
 
     @pytest.mark.parametrize("mesh", [grid_mesh(12, 7), tetrahedron()],
                              ids=["grid", "tetrahedron"])
-    def test_bulk_off_parse_matches_token_parse(self, tmp_path, mesh):
+    def test_plain_and_commented_spellings_give_identical_arrays(self, tmp_path,
+                                                                  mesh):
         path = tmp_path / "m.off"
         write_off(mesh, path)
         text = path.read_text()
-        bulk = load_mesh(text, "off")
-        # a comment sends the same content through the token parser
-        tokens = load_mesh(text + "# end\n", "off")
-        for got, want in ((bulk.vertices, tokens.vertices), (bulk.faces, tokens.faces)):
+        plain = load_mesh(text, "off")
+        commented = load_mesh("# made by write_off\n" + text.replace("\n", " # row\n"),
+                              "off")
+        for got, want in ((plain.vertices, commented.vertices),
+                          (plain.faces, commented.faces)):
             assert got.dtype == want.dtype and got.flags.c_contiguous
             np.testing.assert_array_equal(got, want)
-        np.testing.assert_array_equal(bulk.vertices, mesh.vertices)
-        np.testing.assert_array_equal(bulk.faces, mesh.faces)
+        np.testing.assert_array_equal(plain.vertices, mesh.vertices)
+        np.testing.assert_array_equal(plain.faces, mesh.faces)
+
+    def test_off_spellings_through_the_one_parser(self):
+        # counts on the header line, CRLF line ends, inline comments on
+        # vertex and face lines, blank lines between the blocks
+        text = ("OFF 3 1 0\r\n\r\n0 0 0 # origin\r\n1 0 0\r\n0 1 0\r\n"
+                "\r\n# faces\r\n3 0 1 2  # the only one\r\n")
+        mesh = load_mesh(text, "off")
+        np.testing.assert_array_equal(mesh.vertices, [[0, 0, 0], [1, 0, 0], [0, 1, 0]])
+        np.testing.assert_array_equal(mesh.faces, [[0, 1, 2]])
+        assert mesh.faces.flags.c_contiguous
 
     @pytest.mark.parametrize("body, match", OFF_ERRORS)
     def test_off_errors_name_the_problem(self, body, match):
@@ -151,16 +163,16 @@ class TestLoadMesh:
         "OFF\n1 1 0\n\n3 0 0 0\n", "OFF\n1 1 0\n0 0 0\n\n",
     ])
     def test_off_errors_raise_no_warning(self, text):
-        # the bulk parser must hand short and empty blocks to the token
-        # parser instead of letting np.loadtxt warn about them
+        # short and empty blocks raise MeshError; np.loadtxt never warns
+        # about a block without rows
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(MeshError):
                 load_mesh(text, "off")
 
     def test_off_extra_vertex_tokens_and_blank_lines(self):
-        # colours after the coordinates and blank lines go through the
-        # token parser, which reads the first three coordinates
+        # colours after the coordinates and indices are read past, as are
+        # blank lines
         text = "OFF\n\n3 1 0\n0 0 0 1\n1 0 0 1\n\n0 1 0 1\n3 0 1 2 7\n"
         mesh = load_mesh(text, "off")
         np.testing.assert_array_equal(mesh.vertices, [[0, 0, 0], [1, 0, 0], [0, 1, 0]])
