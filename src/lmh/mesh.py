@@ -158,11 +158,16 @@ def load_mesh(content, fmt):
 
 
 def read_mesh(path):
-    """Load a mesh from a file path, dispatching on the suffix."""
+    """Load a mesh from a file path, dispatching on the suffix; a
+    ``MeshError`` message starts with the path."""
     path = str(path)
     suffix = path.rsplit(".", 1)[-1].lower() if "." in path else ""
     with open(path, "r", encoding="utf-8") as fh:
-        return load_mesh(fh.read(), suffix)
+        text = fh.read()
+    try:
+        return load_mesh(text, suffix)
+    except MeshError as exc:
+        raise MeshError(f"{path}: {exc}") from exc
 
 
 def _content(line):
@@ -291,16 +296,22 @@ def _parse_obj(text):
                 raise MeshError(
                     f"OBJ: face with {len(refs)} vertices; only triangles supported"
                 )
-            idx = []
+            face = []
             for ref in refs:
                 # "i", "i/t", "i/t/n", "i//n" all carry the vertex index first
                 try:
-                    idx.append(int(ref.split("/")[0]))
+                    i = int(ref.split("/")[0])
                 except ValueError as exc:
                     raise MeshError(f"OBJ: malformed face reference '{ref}'") from exc
-            if any(i < 1 for i in idx):
-                raise MeshError("OBJ: face indices must be positive (1-based)")
-            faces.append([i - 1 for i in idx])
+                # 1-based, or -j for the j-th vertex from the end of those
+                # read so far
+                if i == 0 or -i > len(vertices):
+                    raise MeshError(
+                        f"OBJ: face reference '{ref}' names no vertex (1-based, "
+                        f"or relative to the {len(vertices)} read so far)"
+                    )
+                face.append(i - 1 if i > 0 else len(vertices) + i)
+            faces.append(face)
         # every other record type is skipped
     if not vertices or not faces:
         raise MeshError("OBJ: no triangle data found")

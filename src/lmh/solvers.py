@@ -12,10 +12,10 @@ Ritz vectors each formed by one matrix product. One object,
 harmonics), its positive mass A and its shift sigma;
 ``smallest_eigenpairs`` takes it alone and serves every k up to n
 with ``eigsh``. The dense routes, ``compute_lmh``'s ``hard`` and
-``oracle`` paths, take matrices derived from it:
-``hard_constraint_eig(Z, A, Phi, k)`` the unshifted sparse part
-``sparse_part(0.0)``, and ``dense_oracle_eig(Q, A)`` Q densified through
-``q_apply``. The system solves with ``Q - sigma A = Z + mu_perp B B^T``:
+``oracle`` paths, start from it too: ``hard_constraint_eig(Z, A, Phi,
+k)`` takes the unshifted sparse part ``sparse_part(0.0)``, and
+``dense_oracle_eig(system, k)`` the system itself. The system solves
+with ``Q - sigma A = Z + mu_perp B B^T``:
 at its first solve it computes the checked sparse LU of Z
 (``factorize``) and the dense n-by-k' Woodbury correction, so building
 a system costs no factorization.
@@ -45,19 +45,21 @@ none", not "free early": on the 141-by-141 grid at k = 100, returning
 a row-major copy of the eigenvectors alone raised the peak resident
 memory of the mh-then-relaxed pipeline from 177-179 MB to 198-199 MB.
 
-Two dense routes exist for cross-checking and for exact constraints:
-``dense_oracle_eig`` whitens the pencil and calls LAPACK, and
-``hard_constraint_eig`` restricts the whitened penalized matrix (a
-system's ``sparse_part(0.0)``) to the A-orthogonal complement of a
-given subspace by a congruence with the compact Householder reflectors
-of that subspace's QR (a symmetric rank-2k' update), then solves the
-trailing m-by-m block, m = n - k'. It never forms an n-by-n array, the
-orthogonal factor or a complement basis: the block's lower triangle is
-built from sparse products in a buffer from an anonymous ``mmap``, and
-the update and ``eigh`` touch only that triangle, so about half of one
-m-by-m array is resident. The buffer does not come from numpy because
-numpy advises transparent huge pages for large arrays, and 2 MiB pages
-would back the upper triangle too. Its cost is the O(n^3) ``eigh``.
+Two dense routes exist for cross-checking and for exact constraints,
+and both end in one reduction, ``_dense_eig``: the whitened sparse part
+``S^-1 Z S^-1`` plus one symmetric rank-2k' term, solved by LAPACK.
+For ``dense_oracle_eig`` the term is the relaxed pencil's
+``mu_perp S^-1 B B^T S^-1``. For ``hard_constraint_eig`` it deflates
+the A-orthogonal complement of a given subspace: the subspace moves to
+an eigenvalue above the whole spectrum (Golub, SIAM Review 1973), so
+the smallest pairs are the constrained ones. Neither forms an n-by-n
+array, a projector or a complement basis: the lower triangle of the
+whitened sparse part is written into a buffer from an anonymous
+``mmap``, and the update and ``eigh`` touch only that triangle, so
+about half of one n-by-n array is resident. The buffer does not come
+from numpy because numpy advises transparent huge pages for large
+arrays, and 2 MiB pages would back the upper triangle too. Its cost is
+the O(n^3) ``eigh``.
 
 Thread policy, owned here: small BLAS runs in serial scopes, and the
 dense eigensolvers run outside every scope. ``_serial_blas`` sets the
@@ -566,35 +568,6 @@ def _flip_signs(Psi):
     return Psi
 
 
-def dense_oracle_eig(Q, A):
-    """Full dense solve of the pencil (Q, A) by symmetric whitening.
-
-    Intended as an independent cross-check for the iterative path;
-    refuses problems above ``DENSE_ORACLE_MAX_N`` vertices.
-
-    Parameters
-    ----------
-    Q : ndarray or sparse array of shape (n, n)
-    A : sparse array or ndarray
-        Diagonal mass.
-
-    Returns
-    -------
-    (ndarray, ndarray)
-        All n eigenvalues ascending and A-orthonormal eigenvectors with
-        canonical column signs, column-major.
-    """
-    a = _positive_mass(A)
-    check_dense_size("oracle", a.size)
-    Qd = Q.toarray() if sparse.issparse(Q) else np.asarray(Q, dtype=np.float64)
-    s = np.sqrt(a)
-    M = Qd / np.outer(s, s)
-    M = 0.5 * (M + M.T)
-    vals, vecs = eigh(M)
-    vecs /= s[:, None]
-    return vals, _flip_signs(vecs)
-
-
 # relative accuracy of the Ritz values of the inverted operator
 _LANCZOS_TOL = 1e-10
 # acceptance threshold for the verified residuals
@@ -982,26 +955,8 @@ def _residual_failure(system, lam, Psi):
     )
 
 
-def _compact_wy(h, tau):
-    """``(Y, T)`` with ``H_1 ... H_k' = I - Y T Y^T`` for ``qr(..., mode="raw")``.
-
-    Y is the unit lower trapezoidal matrix of reflector vectors stored
-    in ``h``; the upper triangular T is built column by column as in
-    LAPACK ``dlarft``.
-    """
-    kprime = tau.size
-    Y = np.tril(h, -1)
-    Y[np.diag_indices(kprime)] = 1.0
-    G = Y.T @ Y
-    T = np.zeros((kprime, kprime))
-    for i in range(kprime):
-        T[:i, i] = -tau[i] * (T[:i, :i] @ G[:i, i])
-        T[i, i] = tau[i]
-    return Y, T
-
-
-def _lower_triangle_buffer(block):
-    """Column-major copy of the lower triangle of the square sparse ``block``.
+def _lower_triangle_buffer(M):
+    """Column-major copy of the lower triangle of the square sparse ``M``.
 
     Only the stored entries on or below the diagonal are written. The
     buffer is a private anonymous ``mmap``: it starts as zero pages that
@@ -1010,45 +965,92 @@ def _lower_triangle_buffer(block):
     callers keep to the lower one. numpy's allocator advises huge pages
     for an array this large, and with transparent huge pages in
     ``madvise`` mode a write then backs 2 MiB at once: filling the lower
-    triangle of m = 4880 made 181 of its 182 MiB resident, against 109
-    MiB in 4 KiB pages. The buffer opts out of huge pages
+    triangle of a 4880-by-4880 block made 181 of its 182 MiB resident,
+    against 109 MiB in 4 KiB pages. The buffer opts out of huge pages
     (``MADV_NOHUGEPAGE``) where the platform has the flag; Linux honours
     it in ``always`` mode too.
     """
-    m = block.shape[0]
-    buffer = mmap.mmap(-1, 8 * m * m, flags=mmap.MAP_PRIVATE)
+    n = M.shape[0]
+    buffer = mmap.mmap(-1, 8 * n * n, flags=mmap.MAP_PRIVATE)
     if hasattr(mmap, "MADV_NOHUGEPAGE"):
         buffer.madvise(mmap.MADV_NOHUGEPAGE)
     flat = np.frombuffer(buffer, dtype=np.float64)
-    lower = sparse.tril(block, format="coo")
-    flat[lower.coords[0] + m * lower.coords[1].astype(np.int64)] = lower.data
-    return flat.reshape((m, m), order="F")
+    lower = sparse.tril(M, format="coo")
+    flat[lower.coords[0] + n * lower.coords[1].astype(np.int64)] = lower.data
+    return flat.reshape((n, n), order="F")
+
+
+def _whitened(Z, s):
+    """``S^-1 Z S^-1`` in CSC form, S = diag(s); it stays sparse."""
+    M = sparse.csc_array(Z, dtype=np.float64, copy=True)
+    M.sum_duplicates()
+    M.data /= s[M.indices]
+    M.data /= np.repeat(s, np.diff(M.indptr))
+    return M
+
+
+def _dense_eig(M, s, H, U, k):
+    """k smallest eigenpairs of ``M - H U^T - U H^T``, unwhitened by S = diag(s).
+
+    M, the whitened sparse part, has its lower triangle written into a
+    zero buffer (``_lower_triangle_buffer``); ``dsyr2k`` adds the
+    rank-2k' term of the n-by-k' H and U there, and ``eigh`` (``dsyevr``)
+    solves it in place. None touches the upper triangle, so about half
+    of the buffer becomes resident and numpy allocates no n-by-n array.
+    """
+    lower = _lower_triangle_buffer(M)
+    lower = blas.dsyr2k(-1.0, H, U, 1.0, lower, lower=1, overwrite_c=1)
+    vals, vecs = eigh(
+        lower, lower=True, subset_by_index=(0, k - 1), overwrite_a=True,
+        check_finite=False,
+    )
+    # the last reference to the buffer: it is unmapped here
+    del lower
+    # a new array: eigh's vecs is a view
+    return vals, _flip_signs(vecs / s[:, None])
+
+
+def dense_oracle_eig(system, k):
+    """The k smallest eigenpairs of a system's unshifted pencil, densely.
+
+    The whitened pencil ``S^-1 (Z + mu_perp B B^T) S^-1``, S = A^(1/2)
+    and Z the system's ``sparse_part(0.0)``, is the whitened sparse Z
+    plus the rank-2k' term of U = S^-1 B and H = -mu_perp U / 2
+    (``_dense_eig``). A cross-check for the iterative path; it refuses
+    more than ``DENSE_ORACLE_MAX_N`` vertices. Returns the eigenvalues
+    ascending and A-orthonormal, column-major eigenvectors.
+    """
+    s = np.sqrt(system.mass)
+    check_dense_size("oracle", s.size)
+    U = system.B / s[:, None]
+    return _dense_eig(
+        _whitened(system.sparse_part(0.0), s), s, -0.5 * system.mu_perp * U, U, k
+    )
 
 
 def hard_constraint_eig(Z, A, Phi, k):
     """Exact eigenpairs of the penalized operator on the complement of Phi.
 
-    Restricts the penalized matrix ``Z = W + mu_r A diag(v)`` to the
-    A-orthogonal complement of the span of Phi (so the constraint
-    Phi^T A Psi = 0 holds exactly), then solves the reduced dense
-    symmetric problem. Spurious null directions never enter: the
-    reduction removes them structurally.
+    Solves ``Z psi = lam A psi`` on the A-orthogonal complement of the
+    span of Phi, so the constraint Phi^T A Psi = 0 holds exactly.
+    Spurious null directions never enter: the reduction removes them
+    structurally.
 
     With S = diag(sqrt(a)), the whitened operator ``M = S^-1 Z S^-1``
-    stays sparse. The compact QR of ``S Phi`` gives k' Householder
-    reflectors, Q = H_1 ... H_k' = I - Y T Y^T, and the congruence is
-    ``Q^T M Q = M - V Y^T - Y V^T`` with the n-by-k' factor V formed from
-    the sparse product ``M (Y T)``. Its trailing block (rows and columns
-    k'..n-1, m = n - k' of them) is M on the complement: the lower
-    triangle of M's trailing block is written into a zero m-by-m buffer
-    (``_lower_triangle_buffer``), BLAS ``dsyr2k`` applies the rank-2k'
-    update to that lower triangle in place, and ``eigh`` (``dsyevr``,
-    lower) solves the block for its k smallest eigenpairs in place. None
-    of these reads or writes the upper triangle, so about half of the
-    m-by-m buffer becomes resident, plus one page per column, and numpy
-    allocates no n-by-n or m-by-m array. Only the n-by-k eigenvectors
-    are transformed back; neither Q nor a complement basis is formed.
-    k' = 0 runs the same steps with no reflectors.
+    stays sparse, and U, the orthonormal factor of the economic QR of
+    ``S Phi``, spans the whitened constraint, P = U U^T. The constraint
+    is deflated (Golub, Some modified matrix eigenvalue problems, SIAM
+    Review 1973): with ``H = M U - U (U^T M U + c I) / 2``,
+
+        M - H U^T - U H^T = (I - P) M (I - P) + c P,
+
+    which keeps the eigenpairs of M on the complement and moves span(U)
+    to the eigenvalue c = 2 ||M||_1. c is strictly above every
+    eigenvalue of M, hence above every eigenvalue on the complement, so
+    the k smallest pairs are the complement's for every k <= n - k',
+    and their vectors are orthogonal to S Phi. ``_dense_eig`` solves
+    the deflated matrix; neither the n-by-n projector nor a complement
+    basis is formed. k' = 0 runs the same steps with an empty U.
 
     Parameters
     ----------
@@ -1073,7 +1075,7 @@ def hard_constraint_eig(Z, A, Phi, k):
         Above the ``HARD_PATH_MAX_N`` dense guard, for invalid k, or if
         Z's stored entries or Phi hold an inf or a NaN. Those are
         checked here, in O(nnz + n k'), so ``eigh`` skips its scan of
-        the dense block (and the n-by-n boolean array it allocates).
+        the dense matrix (and the n-by-n boolean array it allocates).
     """
     a = _positive_mass(A)
     n = a.size
@@ -1085,29 +1087,10 @@ def hard_constraint_eig(Z, A, Phi, k):
     _require_finite("phi", Phi)
 
     s = np.sqrt(a)
-    M = sparse.csc_array(Z, dtype=np.float64, copy=True)
-    M.sum_duplicates()
-    M.data /= s[M.indices]
-    M.data /= np.repeat(s, np.diff(M.indptr))
-    # S Phi has orthonormal columns when Phi is A-orthonormal
-    (h, tau), _ = qr(s[:, None] * Phi, mode="raw")
-    Y, T = _compact_wy(h, tau)
-    # for symmetric M, Q^T M Q = M - V Y^T - Y V^T with V = X - Y K / 2,
-    # X = M Y T and K = T^T Y^T X
-    X = M @ (Y @ T)
-    V = X - 0.5 * (Y @ (T.T @ (Y.T @ X)))
-    trailing = _lower_triangle_buffer(M[kprime:, kprime:])
-    trailing = blas.dsyr2k(
-        -1.0, V[kprime:], Y[kprime:], 1.0, trailing, lower=1, overwrite_c=1
-    )
-    vals, vecs = eigh(
-        trailing, lower=True, subset_by_index=(0, k - 1), overwrite_a=True,
-        check_finite=False,
-    )
-    # the last reference to the buffer: it is unmapped here
-    del trailing
-    # Psi = S^-1 Q [0; vecs]
-    Psi = -(Y @ (T @ (Y[kprime:].T @ vecs)))
-    Psi[kprime:] += vecs
-    Psi /= s[:, None]
-    return vals, _flip_signs(Psi)
+    M = _whitened(Z, s)
+    # orthonormal to roundoff; S Phi is so only to the builder's 1e-6 check
+    U, _ = qr(s[:, None] * Phi, mode="economic")
+    c = 2.0 * float(abs(M).sum(axis=0).max())
+    MU = M @ U
+    H = MU - 0.5 * U @ (U.T @ MU + c * np.eye(kprime))
+    return _dense_eig(M, s, H, U, k)

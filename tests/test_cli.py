@@ -694,6 +694,17 @@ class TestExitCodes:
                         "--out-dir", str(tmp_path)]) == 1
         assert "vertex 3 is not referenced" in capsys.readouterr().err
 
+    def test_mesh_error_names_the_file(self, capsys, mesh_file, tmp_path):
+        # with several meshes, the message says which one is bad
+        bad = tmp_path / "bad.off"
+        bad.write_text("OFF\n3 1 0\n0 0 0\n1 0\n0 1 0\n3 0 1 2\n")
+        assert cli.run(["bench", "--mesh", str(mesh_file), str(bad), "--k", "3",
+                        "--kprime", "2", "--paths", "relaxed",
+                        "--out-dir", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {bad}: OFF: malformed vertex line\n"
+        )
+
     @pytest.mark.parametrize("command", ["lmh", "pmh"])
     def test_empty_region_file(self, capsys, mesh_file, tmp_path, command):
         # once exit 1 with numpy's "zero-size array to reduction operation

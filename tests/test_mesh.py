@@ -84,6 +84,23 @@ class TestLoadMesh:
         assert mesh.n_faces == 1
         np.testing.assert_allclose(mesh.vertices[1], [1, 0, 0])
 
+    def test_obj_relative_indices(self):
+        vertices = "v 0 0 0\nv 1 0 0\nv 0 1 0\n"
+        relative = load_mesh(vertices + "f -3 -2 -1\n", "obj")
+        absolute = load_mesh(vertices + "f 1 2 3\n", "obj")
+        np.testing.assert_array_equal(relative.faces, absolute.faces)
+        np.testing.assert_array_equal(relative.vertices, absolute.vertices)
+
+    @pytest.mark.parametrize("text, ref", [
+        ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 0 1 2\n", "0"),
+        ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf -4 -2 -1\n", "-4"),
+        ("f -3/1/1 -2/2/1 -1/3/1\nv 0 0 0\nv 1 0 0\nv 0 1 0\n", "-3/1/1"),
+    ], ids=["zero", "before-the-first", "before-any-vertex"])
+    def test_obj_reference_to_no_vertex(self, text, ref):
+        # a relative index counts back from the vertices read so far
+        with pytest.raises(MeshError, match=f"face reference '{ref}' names no vertex"):
+            load_mesh(text, "obj")
+
     def test_empty_mesh_rejected(self):
         with pytest.raises(MeshError):
             load_mesh("OFF\n0 0 0\n", "OFF")

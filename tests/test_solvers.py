@@ -973,7 +973,7 @@ class TestPositiveMass:
             elif route == "hard_constraint_eig":
                 hard_constraint_eig(W, A, np.zeros((n, 0)), 3)
             elif route == "dense_oracle_eig":
-                dense_oracle_eig(W, A)
+                dense_oracle_eig(LowRankShiftedSystem(W, None, 0.0, A), 3)
             else:
                 compute_lmh(unit_square, region, 3, 0, W=W, A=A, solver=route)
 
@@ -1043,19 +1043,26 @@ class TestNonFiniteInput:
             hard_constraint_eig(Z, A, phi, 3)
 
 
+def diagonal_system(q, B=None, mu_perp=0.0):
+    """The system of the pencil (diag(q) + mu_perp B B^T, I)."""
+    n = len(q)
+    return LowRankShiftedSystem(sparse.diags_array(np.asarray(q, dtype=float)),
+                                B, mu_perp, np.ones(n))
+
+
 class TestDenseOracle:
     def test_identity_pencil(self):
-        lam, _ = dense_oracle_eig(np.eye(2), np.eye(2))
+        lam, _ = dense_oracle_eig(diagonal_system([1.0, 1.0]), 2)
         np.testing.assert_allclose(lam, [1.0, 1.0])
 
     def test_diagonal_pencil(self):
-        lam, _ = dense_oracle_eig(np.diag([1.0, 3.0]), np.eye(2))
+        lam, _ = dense_oracle_eig(diagonal_system([1.0, 3.0]), 2)
         np.testing.assert_allclose(lam, [1.0, 3.0])
 
     def test_guard(self):
         n = DENSE_ORACLE_MAX_N + 1
         with pytest.raises(ValueError, match="oracle path limited to"):
-            dense_oracle_eig(np.eye(n), np.eye(n))
+            dense_oracle_eig(diagonal_system(np.ones(n)), 1)
 
     def test_agrees_with_iterative_path_on_corpus(self, corpus):
         for name, mesh in corpus:
@@ -1125,20 +1132,21 @@ class TestHardPath:
             leak = Psi[:, :m] - ref @ (ref.T @ aPsi[:, :m])
             assert np.sqrt((a[:, None] * leak**2).sum(axis=0)).max() <= 1e-10, name
 
+    @pytest.mark.parametrize("solver", ["hard", "oracle"])
     @pytest.mark.parametrize("kprime", [0, 10])
-    def test_memory_peak_is_one_dense_array(self, kprime):
-        # numpy allocates no n-by-n array: the trailing block lives in a
-        # buffer of its own, which eigh solves in place, without a copy
+    def test_memory_peak_is_one_dense_array(self, kprime, solver):
+        # numpy allocates no n-by-n array on either dense route: the
+        # matrix lives in a buffer of its own, which eigh solves in
+        # place, without a copy
         mesh = grid_mesh(31, 31)
         n = mesh.n_vertices
         W = assemble_stiffness(mesh)
         A = assemble_mass(mesh)
         region = Region.binary(n, patch_vertices(mesh, (0.25, 0.75), (0.25, 0.75)))
         phi = compute_mh(mesh, 10, W=W, A=A).functions[:, :kprime]
-        Z = penalized(W, A, region)
         tracemalloc.start()
         try:
-            hard_constraint_eig(Z, A, phi, 20)
+            compute_lmh(mesh, region, 20, kprime, phi=phi, solver=solver, W=W, A=A)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1165,10 +1173,36 @@ class TestHardPath:
         monkeypatch.setattr(solvers, "eigh", recording_eigh)
         hard_constraint_eig(penalized(W, A, region), A, phi, 5)
         (block,) = blocks
-        m = n - kprime
-        assert block.shape == (m, m) and block.flags.f_contiguous
+        assert block.shape == (n, n) and block.flags.f_contiguous
         assert not np.triu(block, 1).any()
         assert np.all(np.diag(block) != 0.0)
+
+    @pytest.mark.parametrize("mesh, kprime", [
+        (grid_mesh(8, 8), 0), (grid_mesh(8, 8), 5), (icosphere(2), 0),
+        (icosphere(2), 5), (grid_mesh(12, 12), 20),
+    ], ids=["grid8-0", "grid8-5", "ico2-0", "ico2-5", "grid12-20"])
+    def test_every_pair_of_the_complement(self, mesh, kprime):
+        # k = n - k' asks for the largest eigenvalues of the complement
+        # too: they must stay below the deflated span(S Phi)
+        n = mesh.n_vertices
+        W = assemble_stiffness(mesh)
+        A = assemble_mass(mesh)
+        a = mass_diagonal(A)
+        x = mesh.vertices[:, 0]
+        region = Region.binary(n, np.flatnonzero(x <= np.median(x)))
+        phi = np.zeros((n, 0))
+        if kprime:
+            phi = compute_mh(mesh, kprime, W=W, A=A).functions
+        k = n - kprime
+        lam, Psi = hard_constraint_eig(penalized(W, A, region), A, phi, k)
+        Q = W.toarray() + np.diag(100.0 * a * penalty_weights(region, n))
+        lam_ref, _ = constrained_pencil_eig(Q, a, phi)
+        scale = np.abs(lam_ref).max()
+        np.testing.assert_allclose(lam, lam_ref, rtol=0, atol=1e-13 * scale)
+        aPsi = a[:, None] * Psi
+        if kprime:
+            assert np.abs(phi.T @ aPsi).max() <= 1e-12
+        assert np.abs(Psi.T @ aPsi - np.eye(k)).max() <= 1e-12
 
     def test_resident_memory_is_about_half_the_block(self, tmp_path):
         # the high-water mark of resident memory (VmHWM; ru_maxrss would
