@@ -40,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io as lmhio
-from .fem import assemble_mass
+from .fem import assemble_mass, checked_areas
 from .localized import (
     DEFAULT_MU_R,
     SOLVERS,
@@ -104,6 +104,17 @@ def _emit(args, summary):
     print(json.dumps({"command": args.command, **summary}, sort_keys=True))
 
 
+def _read_fem_mesh(path):
+    """``read_mesh`` for a command that assembles W or A: a face that
+    ``checked_areas`` rejects fails here, named by the path."""
+    mesh = read_mesh(path)
+    try:
+        checked_areas(mesh)
+    except MeshError as exc:
+        raise MeshError(f"{path}: {exc}") from exc
+    return mesh
+
+
 def _read_region(path, n):
     """The region file's Region, checked against n vertices before any solve."""
     region = lmhio.load_region(path)
@@ -136,13 +147,13 @@ def _emit_basis(args, mesh, basis, **extra):
 
 
 def cmd_mh(args):
-    mesh = read_mesh(args.mesh)
+    mesh = _read_fem_mesh(args.mesh)
     basis = compute_mh(mesh, args.k, seed=args.seed)
     return _emit_basis(args, mesh, basis)
 
 
 def cmd_lmh(args):
-    mesh = read_mesh(args.mesh)
+    mesh = _read_fem_mesh(args.mesh)
     region = _read_region(args.region, mesh.n_vertices)
     phi = None
     kprime = args.kprime
@@ -185,7 +196,7 @@ def cmd_lmh(args):
 
 
 def cmd_pmh(args):
-    mesh = read_mesh(args.mesh)
+    mesh = _read_fem_mesh(args.mesh)
     region = _read_region(args.region, mesh.n_vertices)
     basis = compute_pmh(mesh, region, args.k, seed=args.seed)
     return _emit_basis(
@@ -230,7 +241,7 @@ def cmd_region(args):
 
 
 def cmd_gap(args):
-    mesh = read_mesh(args.mesh)
+    mesh = _read_fem_mesh(args.mesh)
     region = _read_region(args.region, mesh.n_vertices) if args.region else None
     report = verify_spectral_gap(
         mesh,
@@ -245,7 +256,7 @@ def cmd_gap(args):
 
 
 def cmd_bound(args):
-    mesh = read_mesh(args.mesh)
+    mesh = _read_fem_mesh(args.mesh)
     region = _read_region(args.region, mesh.n_vertices)
     report = verify_upper_bound(
         mesh,
@@ -268,7 +279,7 @@ def cmd_bound(args):
 
 
 def cmd_weyl(args):
-    mesh = read_mesh(args.mesh)
+    mesh = _read_fem_mesh(args.mesh)
     region = _read_region(args.region, mesh.n_vertices)
     if not region.is_binary:
         raise CliError(
@@ -301,7 +312,7 @@ def cmd_weyl(args):
 
 
 def cmd_reconstruct(args):
-    mesh = read_mesh(args.mesh)
+    mesh = _read_fem_mesh(args.mesh)
     bases = [lmhio.load_basis(p) for p in args.basis]
     for p, b in zip(args.basis, bases):
         if b.n_vertices != mesh.n_vertices:
@@ -334,7 +345,7 @@ def cmd_fmap(args):
         raise CliError("--kprime and --k go together: give both or neither")
     basis_x = lmhio.load_basis(args.basis_x)
     basis_y = lmhio.load_basis(args.basis_y)
-    mesh_y = read_mesh(args.mesh_y)
+    mesh_y = _read_fem_mesh(args.mesh_y)
     if basis_y.n_vertices != mesh_y.n_vertices:
         raise CliError("--basis-y does not match --mesh-y vertex count")
     p2p = lmhio.load_p2p(args.p2p)
@@ -405,7 +416,7 @@ def cmd_bench(args):
             raise CliError(f"unknown solver path '{p}'")
     lines = ["mesh,n_vertices,k,kprime,path,status,seconds"]
     for mesh_path in args.mesh:
-        mesh = read_mesh(mesh_path)
+        mesh = _read_fem_mesh(mesh_path)
         if args.region:
             region = _read_region(args.region, mesh.n_vertices)
         else:

@@ -19,6 +19,22 @@ from .mesh import MeshError, membership, triangle_areas
 DEGENERATE_AREA_FRACTION = 1e-12
 
 
+def checked_areas(mesh):
+    """Per-face areas; a MeshError names the first face whose area is
+    not finite, else the first at or below ``DEGENERATE_AREA_FRACTION``
+    of the mean, where the cotangent weights are undefined."""
+    areas = triangle_areas(mesh)
+    bad = np.flatnonzero(~np.isfinite(areas))
+    if bad.size:
+        raise MeshError(f"face {bad[0]} has a non-finite area (coordinates too large)")
+    bad = np.flatnonzero(areas <= DEGENERATE_AREA_FRACTION * areas.mean())
+    if bad.size:
+        raise MeshError(
+            f"face {bad[0]} has (near-)zero area; stiffness weights are undefined"
+        )
+    return areas
+
+
 def _corner_cotangents(mesh):
     """Cotangent of each triangle corner angle, shape (m, 3).
 
@@ -28,14 +44,7 @@ def _corner_cotangents(mesh):
     """
     v = mesh.vertices
     f = mesh.faces
-    areas = triangle_areas(mesh)
-    floor = DEGENERATE_AREA_FRACTION * areas.mean()
-    bad = areas <= floor
-    if bad.any():
-        raise MeshError(
-            f"face {int(np.flatnonzero(bad)[0])} has (near-)zero area; "
-            "stiffness weights are undefined"
-        )
+    areas = checked_areas(mesh)
     cots = np.empty((f.shape[0], 3))
     for c, (a, b) in enumerate(((1, 2), (2, 0), (0, 1))):
         e1 = v[f[:, a]] - v[f[:, c]]
@@ -63,7 +72,7 @@ def assemble_stiffness(mesh):
     Raises
     ------
     MeshError
-        If any face has (near-)zero area.
+        If any face has a non-finite or (near-)zero area.
     """
     f = mesh.faces
     cots = _corner_cotangents(mesh)
@@ -86,9 +95,8 @@ def assemble_mass(mesh):
     """Lumped mass matrix A (diagonal) as a sparse CSR array."""
     areas = triangle_areas(mesh)
     a = np.zeros(mesh.n_vertices)
-    np.add.at(a, mesh.faces[:, 0], areas / 3.0)
-    np.add.at(a, mesh.faces[:, 1], areas / 3.0)
-    np.add.at(a, mesh.faces[:, 2], areas / 3.0)
+    # corner 0 of every face, then corner 1, then corner 2
+    np.add.at(a, mesh.faces.T.ravel(), np.tile(areas / 3.0, 3))
     return sparse.csr_array(sparse.diags_array(a))
 
 

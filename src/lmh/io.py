@@ -6,8 +6,8 @@ significant digits, which round-trips float64 exactly, so identical
 runs produce byte-identical files), one row per line. The integer
 writer ``save_p2p`` writes the same ``%d`` lines from Python integers.
 Every reader goes through ``lmh.mesh._read_rows``, the one numeric text
-reader: a malformed file fails with its name, and a bad row with its
-1-based line too.
+reader: a malformed file fails with its name, and a bad row, or an inf
+or a NaN (which no writer emits), with its 1-based line too.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .localized import Region, SpectralBasis
-from .mesh import _read_rows
+from .mesh import _content, _read_rows
 
 
 def _savetxt(path, X, **kwargs):
@@ -30,10 +30,25 @@ def save_region(region, path):
     _savetxt(path, u)
 
 
+def _read_finite(fh, path, dtype, first):
+    """``_read_rows`` of ``fh`` from line ``first`` of ``path``, all finite."""
+    start = fh.tell()
+    rows = _read_rows(fh, path, dtype, None, first)
+    bad = np.argwhere(~np.isfinite(rows))
+    if bad.size:
+        row, col = bad[0]
+        fh.seek(start)
+        lines = [(n, t) for n, t in enumerate(map(_content, fh), first) if t]
+        number, text = lines[row]
+        raise ValueError(f"{path}, line {number}: value {col + 1} is "
+                         f"{text.split()[col]!r}, not a finite number")
+    return rows
+
+
 def _load_column(path, dtype):
     """The values of a file that holds one per line, as a flat array."""
     with open(path, "r", encoding="utf-8") as fh:
-        rows = _read_rows(fh, path, dtype, None, 1)
+        rows = _read_finite(fh, path, dtype, 1)
     if rows.shape[1] != 1:
         count = rows.shape[1] or "no"
         raise ValueError(f"{path}: {count} values per line; expected one")
@@ -55,7 +70,7 @@ def _load_matrix(path, what, expected):
             r, c = map(int, fh.readline().split())
         except ValueError:
             raise ValueError(f"{path}: malformed {what} header (expected '{expected}')")
-        M = _read_rows(fh, path, np.float64, None, 2)
+        M = _read_finite(fh, path, np.float64, 2)
     if M.shape != (r, c):
         raise ValueError(f"{path}: header promises {r}x{c}, file holds {M.shape}")
     return M

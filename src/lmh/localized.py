@@ -11,8 +11,8 @@ a ``LowRankShiftedSystem``, which owns Q, the mass and the shift;
 * ``relaxed`` - sparse shift-invert Lanczos with Woodbury inner solves
   (the fast path; the projector is never densified),
 * ``hard`` - dense solve of the unshifted penalized matrix
-  (``sparse_part(0.0)``) on the orthogonal complement, with the
-  constraint enforced exactly,
+  (``sparse_part(0.0)``) on the A-orthogonal complement of phi, with
+  the constraint enforced exactly and ``mu_perp`` unused,
 * ``oracle`` - dense solve of the relaxed operator, for cross-checks.
 
 The system factorizes its sparse part at its first solve, so only the
@@ -237,25 +237,21 @@ def build_lmh_operator(W, A, region, phi, mu_r, mu_perp):
     return system, system.q_apply
 
 
-def _global_prelude(mesh, kprime, mu_perp, seed, W, A):
-    """The first k' global harmonics, the first k' + 1 eigenvalues and mu_perp.
-
-    ``mu_perp`` defaults to ``max(1e5, 10 lam_{k'+1})``, comfortably
-    above the (k'+1)-th eigenvalue. An explicit value at or below
-    ``lam_{k'+1}`` warns, pointing at the line that called
-    ``compute_lmh`` or ``verify_spectral_gap``.
-    """
-    mh = compute_mh(mesh, kprime + 1, seed=seed, W=W, A=A)
-    lam_next = float(mh.spectrum[kprime])
+def _mu_perp(mu_perp, lam_next):
+    """``mu_perp``, or its one default ``max(1e5, 10 lam_next)``, where
+    ``lam_next`` is the computed ``lam_{k'+1}(W)``, or None (and the
+    default 1e5) when phi is given or k' = 0. An explicit value at or
+    below ``lam_next`` warns at the caller of ``compute_lmh`` or
+    ``verify_spectral_gap``."""
     if mu_perp is None:
-        mu_perp = max(DEFAULT_MU_PERP, 10.0 * lam_next)
-    elif mu_perp <= lam_next:
+        return max(DEFAULT_MU_PERP, 10.0 * (lam_next or 0.0))
+    if lam_next is not None and mu_perp <= lam_next:
         warnings.warn(
             f"mu_perp={mu_perp:g} does not exceed lambda_(k'+1)={lam_next:g}; "
             "the gap bound assumes it does",
             stacklevel=3,
         )
-    return mh.functions[:, :kprime], mh.spectrum, mu_perp
+    return mu_perp
 
 
 def compute_lmh(
@@ -317,7 +313,6 @@ def compute_lmh(
         raise ValueError(f"unknown solver path '{solver}'")
     # before any global solve, which a refused dense path would waste
     check_dense_size(solver, n)
-    a = mass_diagonal(A)
     if region is not None and not np.any(membership(region, n)):
         warnings.warn(
             "empty region: every membership is 0, so the penalty is uniform "
@@ -325,20 +320,20 @@ def compute_lmh(
             stacklevel=2,
         )
 
+    lam_next = None
     if phi is None and kprime:
-        phi, _, mu_perp = _global_prelude(mesh, kprime, mu_perp, seed, W, A)
-    # an empty phi never uses the mu_perp a global solve would set
+        mh = compute_mh(mesh, kprime + 1, seed=seed, W=W, A=A)
+        phi, lam_next = mh.functions[:, :kprime], float(mh.spectrum[kprime])
+    mu_perp = _mu_perp(mu_perp, lam_next)
     phi = np.asarray(np.zeros((n, 0)) if phi is None else phi, dtype=np.float64)
     if phi.shape != (n, kprime):
         raise ValueError("phi must have shape (n, kprime)")
-    if mu_perp is None:
-        mu_perp = DEFAULT_MU_PERP
 
-    # hard takes the unshifted penalized matrix; no path but relaxed
-    # solves with the system, so no other path factorizes
+    # every path takes the one system; only relaxed solves with it, so
+    # no other path factorizes
     system, _ = build_lmh_operator(W, A, region, phi, mu_r, mu_perp)
     if solver == "hard":
-        lam, Psi = hard_constraint_eig(system.sparse_part(0.0), A, phi, k)
+        lam, Psi = hard_constraint_eig(system, k)
     elif solver == "relaxed":
         lam, Psi = smallest_eigenpairs(system, k, seed=seed)
     else:
@@ -349,7 +344,7 @@ def compute_lmh(
     # it did when the relaxed path returned row-major functions; the
     # maxima of the transposed products are the same numbers
     with _serial_blas():
-        aPsi = np.multiply(a[:, None], Psi, order="C")
+        aPsi = np.multiply(system.mass[:, None], Psi, order="C")
         overlap = float(np.abs(aPsi.T @ phi).max()) if kprime else 0.0
         defect = float(np.abs(aPsi.T @ Psi - np.eye(k)).max())
     if overlap > 1e-3:
@@ -533,9 +528,10 @@ def verify_spectral_gap(
     if kprime < 1:
         raise ValueError("kprime must be at least 1")
     W, A = assemble_stiffness(mesh), assemble_mass(mesh)
-    phi, spectrum, mu_perp = _global_prelude(mesh, kprime, mu_perp, seed, W, A)
-    lam_kp, lam_next = float(spectrum[kprime - 1]), float(spectrum[kprime])
-    system, _ = build_lmh_operator(W, A, region, phi, mu_r, mu_perp)
+    mh = compute_mh(mesh, kprime + 1, seed=seed, W=W, A=A)
+    lam_kp, lam_next = float(mh.spectrum[kprime - 1]), float(mh.spectrum[kprime])
+    mu_perp = _mu_perp(mu_perp, lam_next)
+    system, _ = build_lmh_operator(W, A, region, mh.functions[:, :kprime], mu_r, mu_perp)
     lam1 = float(smallest_eigenpairs(system, 1, seed=seed)[0][0])
     gap = lam1 - lam_kp
     # floored in eigenvalue units, as in the residual check

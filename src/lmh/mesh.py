@@ -336,12 +336,14 @@ def write_off(mesh, path):
 
 
 def triangle_areas(mesh):
-    """Per-face areas from the cross product of two edge vectors."""
+    """Per-face areas from the cross product of two edge vectors; one that
+    overflows is inf, without a warning (``fem.checked_areas`` names it)."""
     v = mesh.vertices
     f = mesh.faces
     e1 = v[f[:, 1]] - v[f[:, 0]]
     e2 = v[f[:, 2]] - v[f[:, 0]]
-    return 0.5 * np.linalg.norm(np.cross(e1, e2), axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return 0.5 * np.linalg.norm(np.cross(e1, e2), axis=1)
 
 
 def surface_area(mesh, region=None):

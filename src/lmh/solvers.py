@@ -12,13 +12,11 @@ Ritz vectors each formed by one matrix product. One object,
 harmonics), its positive mass A and its shift sigma;
 ``smallest_eigenpairs`` takes it alone and serves every k up to n
 with ``eigsh``. The dense routes, ``compute_lmh``'s ``hard`` and
-``oracle`` paths, start from it too: ``hard_constraint_eig(Z, A, Phi,
-k)`` takes the unshifted sparse part ``sparse_part(0.0)``, and
-``dense_oracle_eig(system, k)`` the system itself. The system solves
-with ``Q - sigma A = Z + mu_perp B B^T``:
-at its first solve it computes the checked sparse LU of Z
-(``factorize``) and the dense n-by-k' Woodbury correction, so building
-a system costs no factorization.
+``oracle`` paths, take it alone too: ``hard_constraint_eig(system, k)``
+and ``dense_oracle_eig(system, k)``. The system solves with
+``Q - sigma A = Z + mu_perp B B^T``: at its first solve it computes the
+checked sparse LU of Z (``factorize``) and the dense n-by-k' Woodbury
+correction, so building a system costs no factorization.
 Z must be symmetric positive definite or semi-definite: ``factorize``
 orders it by reverse Cuthill-McKee followed by SuperLU's minimum degree
 on Z + Z^T, and factors it in symmetric mode without pivoting. No n-by-n
@@ -45,16 +43,16 @@ none", not "free early": on the 141-by-141 grid at k = 100, returning
 a row-major copy of the eigenvectors alone raised the peak resident
 memory of the mh-then-relaxed pipeline from 177-179 MB to 198-199 MB.
 
-Two dense routes exist for cross-checking and for exact constraints,
-and both end in one reduction, ``_dense_eig``: the whitened sparse part
+Two dense routes exist for cross-checking and for exact constraints.
+Both start from one whitening of the system (``_whitened_pencil``) and
+end in one reduction (``_dense_eig``): the whitened sparse part
 ``S^-1 Z S^-1`` plus one symmetric rank-2k' term, solved by LAPACK.
 For ``dense_oracle_eig`` the term is the relaxed pencil's
-``mu_perp S^-1 B B^T S^-1``. For ``hard_constraint_eig`` it deflates
-the A-orthogonal complement of a given subspace: the subspace moves to
-an eigenvalue above the whole spectrum (Golub, SIAM Review 1973), so
-the smallest pairs are the constrained ones. Neither forms an n-by-n
-array, a projector or a complement basis: the lower triangle of the
-whitened sparse part is written into a buffer from an anonymous
+``mu_perp S^-1 B B^T S^-1``. For ``hard_constraint_eig`` it moves
+span(S^-1 B) above the whole spectrum (Golub, SIAM Review 1973), so
+the smallest pairs are those with B^T Psi = 0. Neither forms an
+n-by-n array, a projector or a complement basis: the lower triangle of
+the whitened sparse part is written into a buffer from an anonymous
 ``mmap``, and the update and ``eigh`` touch only that triangle, so
 about half of one n-by-n array is resident. The buffer does not come
 from numpy because numpy advises transparent huge pages for large
@@ -980,13 +978,16 @@ def _lower_triangle_buffer(M):
     return flat.reshape((n, n), order="F")
 
 
-def _whitened(Z, s):
-    """``S^-1 Z S^-1`` in CSC form, S = diag(s); it stays sparse."""
-    M = sparse.csc_array(Z, dtype=np.float64, copy=True)
+def _whitened_pencil(system, solver):
+    """S = A^(1/2), the sparse ``S^-1 Z S^-1`` (Z = ``sparse_part(0.0)``)
+    and ``S^-1 B``, after the ``check_dense_size`` guard of ``solver``."""
+    s = np.sqrt(system.mass)
+    check_dense_size(solver, s.size)
+    M = sparse.csc_array(system.sparse_part(0.0), dtype=np.float64)
     M.sum_duplicates()
     M.data /= s[M.indices]
     M.data /= np.repeat(s, np.diff(M.indptr))
-    return M
+    return s, M, system.B / s[:, None]
 
 
 def _dense_eig(M, s, H, U, k):
@@ -1020,76 +1021,42 @@ def dense_oracle_eig(system, k):
     more than ``DENSE_ORACLE_MAX_N`` vertices. Returns the eigenvalues
     ascending and A-orthonormal, column-major eigenvectors.
     """
-    s = np.sqrt(system.mass)
-    check_dense_size("oracle", s.size)
-    U = system.B / s[:, None]
-    return _dense_eig(
-        _whitened(system.sparse_part(0.0), s), s, -0.5 * system.mu_perp * U, U, k
-    )
+    s, M, U = _whitened_pencil(system, "oracle")
+    return _dense_eig(M, s, -0.5 * system.mu_perp * U, U, k)
 
 
-def hard_constraint_eig(Z, A, Phi, k):
-    """Exact eigenpairs of the penalized operator on the complement of Phi.
+def hard_constraint_eig(system, k):
+    """Exact eigenpairs of a system's sparse part under ``B^T Psi = 0``.
 
-    Solves ``Z psi = lam A psi`` on the A-orthogonal complement of the
-    span of Phi, so the constraint Phi^T A Psi = 0 holds exactly.
-    Spurious null directions never enter: the reduction removes them
-    structurally.
+    Solves ``Z psi = lam A psi``, Z the system's ``sparse_part(0.0)``,
+    on the complement of span(S^-1 B), S = A^(1/2): for
+    ``build_lmh_operator``'s B = A Phi that is Phi^T A Psi = 0. The
+    rank-k' term is enforced, not weighted, so ``mu_perp`` is not used,
+    and only span(B) matters. The system has checked the mass, W, the
+    penalty and B, so ``eigh`` skips its scan for an inf or a NaN.
 
-    With S = diag(sqrt(a)), the whitened operator ``M = S^-1 Z S^-1``
-    stays sparse, and U, the orthonormal factor of the economic QR of
-    ``S Phi``, spans the whitened constraint, P = U U^T. The constraint
-    is deflated (Golub, Some modified matrix eigenvalue problems, SIAM
-    Review 1973): with ``H = M U - U (U^T M U + c I) / 2``,
+    With M = S^-1 Z S^-1 and U the orthonormal factor of the economic
+    QR of S^-1 B, the constraint is deflated (Golub, Some modified
+    matrix eigenvalue problems, SIAM Review 1973): with
+    ``H = M U - U (U^T M U + c I) / 2``,
 
-        M - H U^T - U H^T = (I - P) M (I - P) + c P,
+        M - H U^T - U H^T = (I - U U^T) M (I - U U^T) + c U U^T,
 
     which keeps the eigenpairs of M on the complement and moves span(U)
-    to the eigenvalue c = 2 ||M||_1. c is strictly above every
-    eigenvalue of M, hence above every eigenvalue on the complement, so
-    the k smallest pairs are the complement's for every k <= n - k',
-    and their vectors are orthogonal to S Phi. ``_dense_eig`` solves
-    the deflated matrix; neither the n-by-n projector nor a complement
-    basis is formed. k' = 0 runs the same steps with an empty U.
-
-    Parameters
-    ----------
-    Z : sparse array
-        The penalized matrix, a system's ``sparse_part(0.0)``; it is
-        never factorized.
-    A : sparse array or ndarray
-        Diagonal mass.
-    Phi : ndarray of shape (n, k')
-        A-orthonormal functions to exclude (checked by the builder).
-    k : int
-        Number of eigenpairs, ``1 <= k <= n - k'``.
-
-    Returns
-    -------
-    (ndarray, ndarray)
-        Eigenvalues ascending and A-orthonormal eigenvectors.
-
-    Raises
-    ------
-    ValueError
-        Above the ``HARD_PATH_MAX_N`` dense guard, for invalid k, or if
-        Z's stored entries or Phi hold an inf or a NaN. Those are
-        checked here, in O(nnz + n k'), so ``eigh`` skips its scan of
-        the dense matrix (and the n-by-n boolean array it allocates).
+    to c = 2 ||M||_1, above every eigenvalue of M. So the k smallest
+    pairs are the complement's for every ``1 <= k <= n - k'``; k' = 0
+    runs the same steps with an empty U. ``_dense_eig`` solves the
+    deflated matrix, and no projector or complement basis is formed.
+    The system is never factorized. Returns the eigenvalues ascending
+    and A-orthonormal eigenvectors; raises ValueError above the
+    ``HARD_PATH_MAX_N`` dense guard or for invalid k.
     """
-    a = _positive_mass(A)
-    n = a.size
-    check_dense_size("hard", n)
-    kprime = Phi.shape[1]
+    s, M, SinvB = _whitened_pencil(system, "hard")
+    n, kprime = SinvB.shape
     if not 1 <= k <= n - kprime:
         raise ValueError(f"k must be in [1, {n - kprime}], got {k}")
-    _require_finite("Z", Z)
-    _require_finite("phi", Phi)
-
-    s = np.sqrt(a)
-    M = _whitened(Z, s)
-    # orthonormal to roundoff; S Phi is so only to the builder's 1e-6 check
-    U, _ = qr(s[:, None] * Phi, mode="economic")
+    # S^-1 B = S Phi is orthonormal only to the builder's 1e-6 check
+    U, _ = qr(SinvB, mode="economic")
     c = 2.0 * float(abs(M).sum(axis=0).max())
     MU = M @ U
     H = MU - 0.5 * U @ (U.T @ MU + c * np.eye(kprime))

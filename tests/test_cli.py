@@ -266,7 +266,9 @@ class TestLmh:
             "--k", "4", "--phi", str(bad), "--out-dir", str(tmp_path),
         ])
         assert code == 1
-        assert "phi must be finite" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: {bad}, line 6: value 3 is 'nan', not a finite number\n"
+        )
 
     def test_region_length_mismatch(self, capsys, mesh_file, sphere_file,
                                     tmp_path):
@@ -823,6 +825,83 @@ class TestExitCodes:
         }[command]
         assert cli.run([command, *argv, "--out-dir", str(tmp_path)]) == 1
         assert capsys.readouterr() == ("", f"error: {bad}, {message}\n")
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("reconstruct", "--basis", "nan"),
+        ("lmh", "--phi", "inf"),
+        ("fmap", "--basis-x", "nan"),
+        ("p2p", "--cmatrix", "-inf"),
+        ("lmh", "--region", "nan"),
+    ], ids=["reconstruct-basis", "lmh-phi", "fmap-basis-x", "p2p-cmatrix",
+            "lmh-region"])
+    def test_non_finite_number_names_file_and_line(self, capsys, mesh_file,
+                                                   tmp_path, command, flag,
+                                                   value):
+        # reconstruct, fmap and p2p once exited 0, printing "max_error":
+        # NaN (not JSON) or writing a map of zeros; --phi and --region
+        # exited 1 without naming the file
+        basis = tmp_path / "basis.txt"
+        lmhio.save_cmatrix(np.eye(121, 8), basis)
+        cmatrix = tmp_path / "c.txt"
+        lmhio.save_cmatrix(np.eye(8), cmatrix)
+        region = tmp_path / "region.txt"
+        lmhio.save_region(np.ones(121), region)
+        p2p = tmp_path / "p2p.txt"
+        lmhio.save_p2p(np.arange(121), p2p)
+        files = {"--basis": basis, "--phi": basis, "--basis-x": basis,
+                 "--cmatrix": cmatrix, "--region": region}
+        bad = tmp_path / "bad.txt"
+        lines = files[flag].read_text().splitlines()
+        # line 4 of the file: its third row of values, or third after a header
+        column = 0 if flag == "--region" else 1
+        tokens = lines[3].split()
+        tokens[column] = value
+        lines[3] = " ".join(tokens)
+        bad.write_text("\n".join(lines) + "\n")
+        files[flag] = bad
+        argv = {
+            "reconstruct": ["--mesh", mesh_file, "--basis", files["--basis"]],
+            "lmh": ["--mesh", mesh_file, "--region", files["--region"],
+                    "--k", "3", *(["--phi", bad] if flag == "--phi" else [])],
+            "fmap": ["--basis-x", files["--basis-x"], "--basis-y", basis,
+                     "--mesh-y", mesh_file, "--p2p", p2p],
+            "p2p": ["--cmatrix", files["--cmatrix"], "--basis-x", basis,
+                    "--basis-y", basis],
+        }[command]
+        assert cli.run([command, *map(str, argv), "--out-dir", str(tmp_path)]) == 1
+        assert capsys.readouterr() == ("", (
+            f"error: {bad}, line 4: value {column + 1} is '{value}', "
+            "not a finite number\n"
+        ))
+
+    @pytest.mark.parametrize("vertices, message", [
+        ("0 0 0\n1 0 0\n2 0 0\n0 1 0\n",
+         "face 1 has (near-)zero area; stiffness weights are undefined"),
+        ("0 0 0\n1e150 0 0\n2e150 1e150 0\n0 1e150 0\n",
+         "face 0 has a non-finite area (coordinates too large)"),
+    ], ids=["zero-area", "overflow"])
+    @pytest.mark.parametrize("command", ["mh", "reconstruct", "fmap"])
+    def test_mesh_geometry_error_names_the_file(self, capsys, tmp_path, command,
+                                                vertices, message):
+        # mh's zero-area error once came from the stiffness assembly, after
+        # the reader, without the path; at 1e150 numpy's overflow warning
+        # came first, and then that same zero-area message. reconstruct
+        # and fmap, which assemble only the mass, exited 0 (with NaN
+        # errors at 1e150)
+        path = tmp_path / "flat.off"
+        path.write_text(f"OFF\n4 2 0\n{vertices}3 0 1 3\n3 0 1 2\n")
+        basis = tmp_path / "b.txt"
+        lmhio.save_cmatrix(np.eye(4, 2), basis)
+        p2p = tmp_path / "p2p.txt"
+        lmhio.save_p2p(np.arange(4), p2p)
+        argv = {
+            "mh": ["--mesh", path, "--k", "1"],
+            "reconstruct": ["--mesh", path, "--basis", basis],
+            "fmap": ["--basis-x", basis, "--basis-y", basis, "--mesh-y", path,
+                     "--p2p", p2p],
+        }[command]
+        assert cli.run([command, *map(str, argv), "--out-dir", str(tmp_path)]) == 1
+        assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
 
     @pytest.mark.parametrize("pair", [["--kprime", "5"], ["--k", "3"]],
                              ids=["kprime-only", "k-only"])

@@ -55,9 +55,12 @@ from oracles import constrained_pencil_eig, dense_pencil_eig
 from test_bench_patches import load_spans
 
 
-def penalized(W, A, region, mu_r=100.0):
-    """``W + mu_r A diag(v)``, the sparse part of an unshifted system."""
-    return build_lmh_operator(W, A, region, None, mu_r, 0.0)[0].sparse_part(0.0)
+def penalized(W, A, region, phi):
+    """The system with sparse part ``W + 100 A diag(v)`` and B = A phi.
+
+    ``hard_constraint_eig`` reads those two and not mu_perp, so it is 0.
+    """
+    return build_lmh_operator(W, A, region, phi, 100.0, 0.0)[0]
 
 
 def random_spd_sparse(n, rng, density=0.05):
@@ -971,7 +974,7 @@ class TestPositiveMass:
             elif route == "mh":
                 compute_mh(unit_square, 5, W=W, A=A)
             elif route == "hard_constraint_eig":
-                hard_constraint_eig(W, A, np.zeros((n, 0)), 3)
+                hard_constraint_eig(LowRankShiftedSystem(W, None, 0.0, A), 3)
             elif route == "dense_oracle_eig":
                 dense_oracle_eig(LowRankShiftedSystem(W, None, 0.0, A), 3)
             else:
@@ -1029,19 +1032,6 @@ class TestNonFiniteInput:
         with pytest.raises(ValueError, match="B must be finite"):
             LowRankShiftedSystem(W, B, 1e5, A)
 
-    @pytest.mark.parametrize("bad", ["Z", "phi"])
-    def test_hard_path_checks_its_sparse_input(self, case, bad):
-        # eigh no longer scans the dense block, so the check is here
-        W, A, phi, _ = case
-        Z = sparse.csr_array(W, copy=True)
-        if bad == "Z":
-            Z.data[2] = np.inf
-        else:
-            phi = phi.copy()
-            phi[1, 0] = np.nan
-        with pytest.raises(ValueError, match=f"{bad} must be finite"):
-            hard_constraint_eig(Z, A, phi, 3)
-
 
 def diagonal_system(q, B=None, mu_perp=0.0):
     """The system of the pencil (diag(q) + mu_perp B B^T, I)."""
@@ -1084,7 +1074,7 @@ class TestHardPath:
         A = assemble_mass(unit_square)
         region = Region.binary(n, np.arange(n // 2))
         phi0 = np.zeros((n, 0))
-        lam_h, _ = hard_constraint_eig(penalized(W, A, region), A, phi0, 6)
+        lam_h, _ = hard_constraint_eig(penalized(W, A, region, phi0), 6)
         system, _ = build_lmh_operator(W, A, region, phi0, 100.0, 0.0)
         lam_r, _ = smallest_eigenpairs(system, 6)
         np.testing.assert_allclose(lam_h, lam_r, rtol=1e-8, atol=1e-10)
@@ -1092,7 +1082,7 @@ class TestHardPath:
     def test_exact_orthogonality(self, plane, plane_patch, plane_ops):
         W, A = plane_ops
         phi = compute_mh(plane, 10, W=W, A=A).functions
-        lam, Psi = hard_constraint_eig(penalized(W, A, plane_patch), A, phi, 8)
+        lam, Psi = hard_constraint_eig(penalized(W, A, plane_patch, phi), 8)
         a = mass_diagonal(A)
         assert np.abs(phi.T @ (a[:, None] * Psi)).max() <= 1e-10
         gram = Psi.T @ (a[:, None] * Psi)
@@ -1112,7 +1102,7 @@ class TestHardPath:
                 compute_mh(mesh, kprime, W=W, A=A).functions
                 if kprime else np.zeros((n, 0))
             )
-            lam, Psi = hard_constraint_eig(penalized(W, A, region), A, phi, k)
+            lam, Psi = hard_constraint_eig(penalized(W, A, region, phi), k)
             Q = W.toarray() + np.diag(100.0 * a * penalty_weights(region, n))
             lam_ref, Psi_ref = constrained_pencil_eig(Q, a, phi)
 
@@ -1171,7 +1161,7 @@ class TestHardPath:
             return real(a, *args, **kwargs)
 
         monkeypatch.setattr(solvers, "eigh", recording_eigh)
-        hard_constraint_eig(penalized(W, A, region), A, phi, 5)
+        hard_constraint_eig(penalized(W, A, region, phi), 5)
         (block,) = blocks
         assert block.shape == (n, n) and block.flags.f_contiguous
         assert not np.triu(block, 1).any()
@@ -1194,7 +1184,7 @@ class TestHardPath:
         if kprime:
             phi = compute_mh(mesh, kprime, W=W, A=A).functions
         k = n - kprime
-        lam, Psi = hard_constraint_eig(penalized(W, A, region), A, phi, k)
+        lam, Psi = hard_constraint_eig(penalized(W, A, region, phi), k)
         Q = W.toarray() + np.diag(100.0 * a * penalty_weights(region, n))
         lam_ref, _ = constrained_pencil_eig(Q, a, phi)
         scale = np.abs(lam_ref).max()
@@ -1203,6 +1193,33 @@ class TestHardPath:
         if kprime:
             assert np.abs(phi.T @ aPsi).max() <= 1e-12
         assert np.abs(Psi.T @ aPsi - np.eye(k)).max() <= 1e-12
+
+    def test_constraint_is_a_span(self):
+        # only span(B) enters, and mu_perp not at all: B R for an
+        # invertible R, under another mu_perp, gives the same pairs
+        mesh = grid_mesh(8, 8)
+        n = mesh.n_vertices
+        W, A = assemble_stiffness(mesh), assemble_mass(mesh)
+        a = mass_diagonal(A)
+        x = mesh.vertices[:, 0]
+        region = Region.binary(n, np.flatnonzero(x <= np.median(x)))
+        phi = compute_mh(mesh, 5, W=W, A=A).functions
+        system = penalized(W, A, region, phi)
+        R = np.random.default_rng(0).standard_normal((5, 5)) + 5.0 * np.eye(5)
+        mixed = LowRankShiftedSystem(W, system.B @ R, 1e5, A,
+                                     penalty=system.penalty)
+        k = 12
+        lam, Psi = hard_constraint_eig(system, k)
+        lam_mixed, Psi_mixed = hard_constraint_eig(mixed, k)
+        scale = np.abs(lam).max()
+        np.testing.assert_allclose(lam_mixed, lam, rtol=0, atol=1e-12 * scale)
+        for B, vecs in ((system.B, Psi), (mixed.B, Psi_mixed)):
+            bound = 1e-13 * np.linalg.norm(B, 2) * np.linalg.norm(vecs, 2)
+            assert np.linalg.norm(B.T @ vecs, 2) <= bound
+        Q = W.toarray() + np.diag(system.penalty)
+        lam_ref, _ = constrained_pencil_eig(Q, a, phi)
+        np.testing.assert_allclose(lam_mixed, lam_ref[:k], rtol=0,
+                                   atol=1e-12 * scale)
 
     def test_resident_memory_is_about_half_the_block(self, tmp_path):
         # the high-water mark of resident memory (VmHWM; ru_maxrss would
@@ -1237,9 +1254,8 @@ class TestHardPath:
                 region = Region.binary(n, inside)
                 phi = compute_mh(mesh, 10, W=W, A=A).functions
                 system, _ = build_lmh_operator(W, A, region, phi, 100.0, 0.0)
-                Z = system.sparse_part(0.0)
                 before = high_water_bytes()
-                hard_constraint_eig(Z, A, phi, k)
+                hard_constraint_eig(system, k)
                 return n, (high_water_bytes() - before) / (8 * n * n)
 
             hard(15, 5)
@@ -1259,10 +1275,10 @@ class TestHardPath:
 
     def test_guard_suggests_relaxed(self):
         n = HARD_PATH_MAX_N + 1
-        Z = sparse.eye_array(n, format="csr")
-        A = sparse.eye_array(n, format="csr")
+        system = LowRankShiftedSystem(sparse.eye_array(n, format="csr"), None,
+                                      0.0, np.ones(n))
         with pytest.raises(ValueError, match="relaxed"):
-            hard_constraint_eig(Z, A, np.zeros((n, 0)), 1)
+            hard_constraint_eig(system, 1)
 
 
 @pytest.fixture
@@ -1401,10 +1417,10 @@ class TestBlasThreadScope:
         seen = record_dense_kernels(monkeypatch, blas_pools)
         n = unit_square.n_vertices
         W, A = assemble_stiffness(unit_square), assemble_mass(unit_square)
-        Z = penalized(W, A, Region.binary(n, np.arange(40)))
+        system = penalized(W, A, Region.binary(n, np.arange(40)), None)
         basis = tied_basis()
         compute_lmh(tetra, None, 2, 0, solver="oracle")
-        hard_constraint_eig(Z, A, np.zeros((n, 0)), 4)
+        hard_constraint_eig(system, 4)
         p2p = recover_p2p(np.eye(4), basis_x=basis, basis_y=basis)
         assert p2p[3] == p2p[7] == 3
         # the two eigh keep the process count; p2p's two tie-breaks run
