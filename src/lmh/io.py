@@ -1,13 +1,13 @@
 """Deterministic text formats for regions, bases, maps and curves.
 
-Every float writer goes through ``_savetxt``, whose one ``np.savetxt``
-call owns the byte format: floats are written with ``%.17g`` (17
-significant digits, which round-trips float64 exactly, so identical
-runs produce byte-identical files), one row per line. The integer
-writer ``save_p2p`` writes the same ``%d`` lines from Python integers.
-Every reader goes through ``lmh.mesh._read_rows``, the one numeric text
-reader: a malformed file fails with its name, and a bad row, or an inf
-or a NaN (which no writer emits), with its 1-based line too.
+Every writer goes through ``lmh.mesh._write_rows``, the one numeric text
+writer, after its own header line: it owns the byte format, ``%.17g``
+for floats (17 significant digits, which round-trips float64 exactly, so
+identical runs produce byte-identical files) and ``%d`` for integers,
+one row per line. Every reader goes through ``lmh.mesh._read_rows``, the
+one numeric text reader: a malformed file fails with its name, and a bad
+row, or an inf or a NaN (which no writer emits), with its 1-based line
+too.
 """
 
 from __future__ import annotations
@@ -15,19 +15,19 @@ from __future__ import annotations
 import numpy as np
 
 from .localized import Region, SpectralBasis
-from .mesh import _content, _read_rows
+from .mesh import _content, _read_rows, _write_rows
 
 
-def _savetxt(path, X, **kwargs):
-    # np.savetxt on an open handle: a name ending in .gz stays plain text
+def _save(path, X, header="", delimiter=" "):
+    """Write ``header`` (empty or whole lines) and then the rows of ``X``."""
     with open(path, "w", encoding="utf-8") as fh:
-        np.savetxt(fh, X, fmt="%.17g", **kwargs)
+        fh.write(header)
+        _write_rows(fh, X, delimiter)
 
 
 def save_region(region, path):
     """One membership value per line."""
-    u = np.asarray(getattr(region, "u", region), dtype=np.float64)
-    _savetxt(path, u)
+    _save(path, np.asarray(getattr(region, "u", region), dtype=np.float64))
 
 
 def _read_finite(fh, path, dtype, first):
@@ -60,7 +60,8 @@ def load_region(path):
 
 
 def _save_matrix(M, path):
-    _savetxt(path, M, header=f"{M.shape[0]} {M.shape[1]}", comments="")
+    M = np.asarray(M, dtype=np.float64)
+    _save(path, M, f"{M.shape[0]} {M.shape[1]}\n")
 
 
 def _load_matrix(path, what, expected):
@@ -80,7 +81,7 @@ def save_basis(basis, basis_path, spectrum_path):
     """Write the functions ("n m" header then n rows) and the
     eigenvalues (one per line)."""
     _save_matrix(basis.functions, basis_path)
-    _savetxt(spectrum_path, basis.spectrum)
+    _save(spectrum_path, basis.spectrum)
 
 
 def load_basis(basis_path):
@@ -100,10 +101,7 @@ def load_basis(basis_path):
 
 def save_p2p(p2p, path):
     """One 0-based target vertex index per line."""
-    # % on Python ints from tolist(), as in mesh.write_off: np.savetxt
-    # formats numpy scalars one row at a time and takes about 3x as long
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines("%d\n" % i for i in np.asarray(p2p, dtype=np.int64).tolist())
+    _save(path, np.asarray(p2p, dtype=np.int64))
 
 
 def load_p2p(path):
@@ -112,7 +110,7 @@ def load_p2p(path):
 
 def save_cmatrix(C, path):
     """Write a dense matrix with a "rows cols" header line."""
-    _save_matrix(np.asarray(C, dtype=np.float64), path)
+    _save_matrix(C, path)
 
 
 def load_cmatrix(path):
@@ -125,10 +123,9 @@ def save_curve(thresholds, fractions, path):
     fractions = np.asarray(fractions, dtype=np.float64)
     if thresholds.shape != fractions.shape:
         raise ValueError("thresholds and fractions differ in length")
-    data = np.column_stack([thresholds, fractions])
-    _savetxt(path, data, delimiter=",", header="threshold,fraction", comments="")
+    _save(path, np.column_stack([thresholds, fractions]), "threshold,fraction\n", ",")
 
 
 def save_scalar_field(values, path):
     """One per-vertex value per line."""
-    _savetxt(path, np.asarray(values, dtype=np.float64))
+    _save(path, np.asarray(values, dtype=np.float64))

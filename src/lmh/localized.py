@@ -33,6 +33,7 @@ from .mesh import (MeshError, TriMesh, _valid_membership, graph_geodesics,
 from .solvers import (
     LowRankShiftedSystem,
     _eigenvalue_floor,
+    _positive_mass,
     _serial_blas,
     check_dense_size,
     default_shift,
@@ -205,14 +206,15 @@ def build_lmh_operator(W, A, region, phi, mu_r, mu_perp):
     Raises
     ------
     ValueError
-        If a weight is negative, the membership fails ``membership``, the
-        phi row count does not match the vertex count, phi is not finite
-        and A-orthonormal within 1e-6, or the system finds W, the penalty
-        or mu_perp not finite.
+        If a weight is negative, a mass entry is not positive and finite
+        (checked before phi's Gram matrix is formed), the membership
+        fails ``membership``, the phi row count does not match the
+        vertex count, phi is not finite and A-orthonormal within 1e-6,
+        or the system finds W, the penalty or mu_perp not finite.
     """
     if mu_r < 0.0 or mu_perp < 0.0:
         raise ValueError("penalty weights must be non-negative")
-    a = mass_diagonal(A)
+    a = _positive_mass(A)
     n = a.size
     v = penalty_weights(region, n)
     if phi is None:

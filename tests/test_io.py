@@ -1,6 +1,8 @@
 """Text formats: exact round trips and malformed-file rejection."""
 
+import io
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from lmh import io as lmhio
+from lmh import mesh as lmhmesh
 from lmh.localized import Region, SpectralBasis, compute_mh
 from lmh.mesh import read_mesh, write_off
 from lmh.synth import grid_mesh
@@ -217,3 +220,93 @@ def test_off_round_trip_is_exact(off_path, coords):
     back = read_mesh(off_path)
     assert back.vertices.tobytes() == coords.tobytes()
     np.testing.assert_array_equal(back.faces, faces)
+
+
+def savetxt_bytes(X, **kwargs):
+    """The bytes of ``np.savetxt`` at 17 digits, the writers' reference."""
+    buf = io.BytesIO()
+    np.savetxt(buf, X, fmt="%.17g", **kwargs)
+    return buf.getvalue()
+
+
+# special values first, so that hypothesis draws them often
+FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                     1e300, -1e300, 1.0 / 3.0, np.inf, -np.inf, np.nan]),
+    st.floats(),
+)
+INT64 = st.integers(-(2**63), 2**63 - 1)
+
+
+def tables(columns=st.integers(1, 5)):
+    """Float64 arrays of 0 to 12 rows."""
+    return arrays(np.float64, st.tuples(st.integers(0, 12), columns),
+                  elements=FLOATS)
+
+
+class TestWriterMatchesSavetxt:
+    """Every writer gives the bytes of ``np.savetxt`` with ``%.17g``, the
+    same header and delimiter, and the integer files their ``%d`` lines,
+    also when a file spans several of ``_write_rows``' blocks."""
+
+    @pytest.fixture(scope="class")
+    def folder(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("writers")
+
+    @settings(max_examples=80, deadline=None)
+    @given(column=arrays(np.float64, st.integers(0, 30), elements=FLOATS),
+           block=st.integers(1, 9))
+    def test_one_value_per_line(self, folder, column, block):
+        expected = savetxt_bytes(column)
+        with mock.patch.object(lmhmesh, "_WRITE_BLOCK_VALUES", block):
+            lmhio.save_region(column, folder / "region.txt")
+            lmhio.save_scalar_field(column, folder / "field.txt")
+        assert (folder / "region.txt").read_bytes() == expected
+        assert (folder / "field.txt").read_bytes() == expected
+
+    @settings(max_examples=80, deadline=None)
+    @given(M=tables(), block=st.integers(1, 9), data=st.data())
+    def test_matrices(self, folder, M, block, data):
+        spectrum = data.draw(arrays(np.float64, M.shape[1], elements=FLOATS))
+        basis = SpectralBasis(functions=M, spectrum=spectrum, kind="MH")
+        bp, sp, cp = folder / "b.txt", folder / "s.txt", folder / "c.txt"
+        with mock.patch.object(lmhmesh, "_WRITE_BLOCK_VALUES", block):
+            lmhio.save_basis(basis, bp, sp)
+            lmhio.save_cmatrix(M, cp)
+        header = f"{M.shape[0]} {M.shape[1]}"
+        assert bp.read_bytes() == savetxt_bytes(M, header=header, comments="")
+        assert sp.read_bytes() == savetxt_bytes(spectrum)
+        assert cp.read_bytes() == bp.read_bytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(M=tables(st.just(2)), block=st.integers(1, 9))
+    def test_curve(self, folder, M, block):
+        path = folder / "curve.csv"
+        with mock.patch.object(lmhmesh, "_WRITE_BLOCK_VALUES", block):
+            lmhio.save_curve(M[:, 0], M[:, 1], path)
+        assert path.read_bytes() == savetxt_bytes(
+            M, delimiter=",", header="threshold,fraction", comments="")
+
+    @settings(max_examples=80, deadline=None)
+    @given(p2p=arrays(np.int64, st.integers(0, 30), elements=INT64),
+           block=st.integers(1, 9))
+    def test_p2p(self, folder, p2p, block):
+        path = folder / "p2p.txt"
+        with mock.patch.object(lmhmesh, "_WRITE_BLOCK_VALUES", block):
+            lmhio.save_p2p(p2p, path)
+        assert path.read_bytes() == "".join("%d\n" % i for i in p2p).encode()
+
+    @settings(max_examples=80, deadline=None)
+    @given(vertices=tables(st.just(3)),
+           faces=arrays(np.int64, st.tuples(st.integers(0, 12), st.just(3)),
+                        elements=INT64),
+           block=st.integers(1, 9))
+    def test_off(self, folder, vertices, faces, block):
+        path = folder / "m.off"
+        with mock.patch.object(lmhmesh, "_WRITE_BLOCK_VALUES", block):
+            write_off((vertices, faces), path)
+        assert path.read_bytes() == (
+            f"OFF\n{len(vertices)} {len(faces)} 0\n"
+            + "".join("%.17g %.17g %.17g\n" % tuple(v) for v in vertices)
+            + "".join("3 %d %d %d\n" % tuple(f) for f in faces)
+        ).encode()
